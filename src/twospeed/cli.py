@@ -254,6 +254,10 @@ def load_config(path, out_override=None) -> RunConfig:
     if scheme not in ("implicit-trapezoid", "explicit-rk4"):
         raise _fail("evolve.scheme", f"unknown scheme {scheme!r}")
 
+    snapshot_every = _get_number(ev, "snapshot_every", "evolve", default=0, integer=True)
+    if snapshot_every < 0:
+        raise _fail("evolve.snapshot_every", f"must be non-negative, got {snapshot_every!r}")
+
     sp = _get_map(tree.get("spectral"), "spectral")
     _check_keys(sp, {"lambda_max", "coarse_points", "refine_depth", "t_grid"}, "spectral")
     t_grid = sp.get("t_grid", [0.5, 1.0, 2.0, 4.0])
@@ -292,11 +296,11 @@ def load_config(path, out_override=None) -> RunConfig:
         evolve_dt=_get_number(ev, "dt", "evolve", default=1e-3, positive=True),
         scheme=scheme,
         observe_every=_get_number(ev, "observe_every", "evolve", default=10, positive=True, integer=True),
-        snapshot_every=_get_number(ev, "snapshot_every", "evolve", default=0, integer=True),
+        snapshot_every=snapshot_every,
         initial=_parse_initial(ev.get("initial"), "evolve.initial", base_dir),
         lambda_max=_get_number(sp, "lambda_max", "spectral", default=0.0),
         coarse_points=_get_number(sp, "coarse_points", "spectral", default=COARSE_POINTS, positive=True, integer=True),
-        refine_depth=_get_number(sp, "refine_depth", "spectral", default=REFINE_DEPTH, integer=True),
+        refine_depth=_get_number(sp, "refine_depth", "spectral", default=REFINE_DEPTH, positive=True, integer=True),
         t_grid=tuple(t_vals),
         lemma_psi=lemma_psi,
         lemma_lambda_min=lemma_lo,

@@ -126,8 +126,8 @@ def evolve(
     Raises
     ------
     ConfigurationError
-        For a non-positive step, an unknown scheme, or a CFL violation
-        with the explicit scheme.
+        For a non-positive step, a negative ``snapshot_every``, an unknown
+        scheme, or a CFL violation with the explicit scheme.
     DivergenceError
         If the state stops being finite.
     """
@@ -137,6 +137,8 @@ def evolve(
         raise ConfigurationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if observe_every < 1:
         raise ConfigurationError("observe_every must be a positive integer")
+    if snapshot_every < 0:
+        raise ConfigurationError("snapshot_every must be a non-negative integer")
     n = gen.grid.n
     if len(p0.p1) != n:
         raise ShapeError("initial state does not live on the generator's cell grid")

@@ -10,34 +10,36 @@ weighted-metric quantities.
 The mean-zero subspace is the orthogonal complement of the unit vector
 ``z0 = sqrt(h * v)``; it is invariant under ``S`` because the columns of
 the generator sum to zero.  Restricting to an orthonormal basis ``Q`` of
-that complement deflates the zero mode exactly, and
+that complement deflates the zero mode exactly, and with
+``S0 = Q^T S Q``
 
-    sigma_min( Q^T S Q - i lambda )
+    sigma_min( S0 - i lambda )
 
 is the distance-to-singularity of the shifted generator on the
-mean-zero subspace.  The resolvent gap estimate is the minimum of that
-quantity over a sweep of real ``lambda`` (non-negative only; the value
-is even in ``lambda`` for a real matrix), refined by golden-section
-bracketing around the lowest coarse minima.  A positive gap ``psi``
-feeds the semigroup bound
+mean-zero subspace.  The resolvent gap ``psi`` is its infimum over all
+real ``lambda``.  It is certified by the level-set iteration of Byers
+(SIAM J. Sci. Stat. Comput. 1988) in the form of Boyd & Balakrishnan
+(Syst. Control Lett. 1990): ``g`` is a singular value of
+``S0 - i w`` for a real ``w`` exactly when the Hamiltonian matrix
+
+    H(g) = [[S0, -g I], [g I, -S0^T]]
+
+has the eigenvalue ``i w``.  If ``H(g)`` has no eigenvalue on the
+imaginary axis, the continuous function ``sigma_min(S0 - i lambda)``,
+which grows like ``|lambda|``, never meets ``g``, so ``g`` is a lower
+bound on all of R.  A positive gap ``psi`` feeds the semigroup bound
 
     || exp(t S) restricted to the mean-zero subspace ||
         <= exp(-t * psi + pi/2),
 
 which :func:`semigroup_bound_check` verifies pointwise on a time grid
 with the dense matrix exponential.
-
-The sweep minimum is taken over finitely many evaluated points, so it
-is an upper surrogate for the infimum over all of R; the default sweep
-bound ``4 * max|b| * n * pi`` covers the discrete transport frequencies
-with a wide margin, beyond which the smallest singular value grows
-linearly in ``|lambda|``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import pi
 
 import numpy as np
 import scipy.linalg
@@ -48,13 +50,12 @@ from .generator import GeneratorMatrix, symmetrized
 #: Hard cap on the dense eigen/SVD problem size (matrix side 2n).
 DENSE_CAP = 4096
 
-#: Relative tolerance for identifying the zero mode.
+#: Relative tolerance for the zero mode, the imaginary axis and the gap level.
 RANK_TOL = 1e-8
 
-#: Sweep defaults: coarse resolution and local refinement effort.
+#: Defaults: coarse sweep resolution and the cap on level-set iterations.
 COARSE_POINTS = 512
 REFINE_DEPTH = 40
-REFINE_BRACKETS = 5
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,11 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class PsiEstimate:
-    """Record of the resolvent-gap sweep and its refined minimum."""
+    """Coarse resolvent sweep and the certified resolvent gap.
+
+    ``psi_hat`` bounds ``sigma_min`` below on all of R and lies within
+    ``RANK_TOL`` relative of its infimum, attained near ``argmin_lambda``.
+    """
 
     lambda_grid: np.ndarray
     sigma_min_values: np.ndarray
@@ -153,30 +158,6 @@ def spectrum(gen: GeneratorMatrix, dense_cap: int = DENSE_CAP, rank_tol: float =
     return SpectrumReport(vals, zero_idx, abscissa, violations, zero_vec)
 
 
-def _golden_minimize(f, a: float, b: float, depth: int):
-    """Deterministic golden-section minimisation; returns (value, argmin)."""
-    inv_phi = (sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = f(c)
-    fd = f(d)
-    best_val, best_arg = (fc, c) if fc <= fd else (fd, d)
-    for _ in range(depth):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-            cand = (fc, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-            cand = (fd, d)
-        if cand[0] < best_val:
-            best_val, best_arg = cand
-    return best_val, best_arg
-
-
 def default_lambda_max(gen: GeneratorMatrix) -> float:
     """Sweep bound covering the discrete transport frequency range."""
     return 4.0 * gen.max_speed() * gen.grid.n * pi
@@ -187,17 +168,22 @@ def psi_sweep(
     lambda_max: float = 0.0,
     coarse_points: int = COARSE_POINTS,
     refine_depth: int = REFINE_DEPTH,
-    brackets: int = REFINE_BRACKETS,
     dense_cap: int = DENSE_CAP,
 ) -> PsiEstimate:
-    """Sweep the smallest singular value of the shifted restricted operator.
+    """Certify the resolvent gap of the restricted operator ``S0``.
 
-    Evaluates ``sigma_min`` on a uniform coarse grid over
-    ``[0, lambda_max]`` (``lambda_max = 0`` selects the default bound),
-    then refines around the lowest local minima by golden-section
-    bracketing.  The estimate is the smallest value seen anywhere;
-    ``sigma_min`` is 1-Lipschitz in ``lambda``, so bracketing converges
-    reliably.
+    ``sigma_min(S0 - i lambda)`` is sampled on a uniform coarse grid
+    over ``[0, lambda_max]`` (``lambda_max = 0`` selects the default
+    bound) for the ``psi_sweep.csv`` artifact.  The smallest sample, or
+    value at the imaginary part of a rightmost eigenvalue, is the first
+    level ``gamma``.  Each level-set iteration (at most ``refine_depth``)
+    finds the imaginary-axis eigenvalues ``i w`` of
+    ``H(gamma (1 - RANK_TOL))``, keeps the crossings ``w`` whose direct
+    ``sigma_min`` lies below ``gamma``, and lowers ``gamma`` to the
+    smallest value at those crossings and at the midpoints between
+    consecutive ones.  With no crossing left, ``gamma (1 - RANK_TOL)``
+    is the certified ``psi_hat``; hitting the cap raises
+    :class:`NumericalError`.
     """
     _check_cap(gen, dense_cap)
     if lambda_max == 0.0:
@@ -206,6 +192,8 @@ def psi_sweep(
         raise ConfigurationError("lambda_max must be positive")
     if coarse_points < 16:
         raise ConfigurationError("coarse_points must be at least 16")
+    if refine_depth < 1:
+        raise ConfigurationError("refine_depth must be at least 1")
 
     s0 = restricted_operator(gen)
     eye = np.eye(s0.shape[0])
@@ -216,36 +204,42 @@ def psi_sweep(
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalError(f"SVD failed at lambda = {lam}: {exc}") from exc
 
+    def eigvals(matrix: np.ndarray) -> np.ndarray:
+        try:
+            return scipy.linalg.eigvals(matrix)
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NumericalError(f"dense eigensolver failed: {exc}") from exc
+
     grid = np.linspace(0.0, lambda_max, coarse_points)
     values = np.array([sig_min(lam) for lam in grid])
 
-    candidates = []
-    for i in range(len(grid)):
-        left = values[i - 1] if i > 0 else np.inf
-        right = values[i + 1] if i + 1 < len(grid) else np.inf
-        if values[i] <= left and values[i] <= right:
-            candidates.append((values[i], i))
-    candidates.sort()
-
-    best_val = float(values.min())
-    best_arg = float(grid[int(np.argmin(values))])
-    for _, i in candidates[:brackets]:
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, len(grid) - 1)]
-        if b <= a:
-            continue
-        val, arg = _golden_minimize(sig_min, a, b, refine_depth)
-        if val < best_val:
-            best_val, best_arg = float(val), float(arg)
-
-    notes = []
-    first_frequency = 2.0 * pi * gen.max_speed()
-    if lambda_max < first_frequency:
-        notes.append(
-            f"lambda_max = {lambda_max:.3g} is below the first transport frequency "
-            f"scale {first_frequency:.3g}; the sweep may miss the relevant minima"
-        )
-    return PsiEstimate(grid, values, best_val, best_arg, float(lambda_max), refine_depth, tuple(notes))
+    # sigma_min at lambda = Im mu is at most |Re mu|, so the rightmost
+    # eigenvalues give a starting level close to the infimum.
+    mu = eigvals(s0)
+    points = np.concatenate([grid, np.unique(np.abs(mu[np.argsort(mu.real)[-8:]].imag))])
+    sigmas = np.concatenate([values, [sig_min(w) for w in points[len(grid):]]])
+    axis_tol = RANK_TOL * max(gen.operator_scale(), 1.0)
+    for depth in range(1, refine_depth + 1):
+        best = int(np.argmin(sigmas))
+        gamma, argmin = float(sigmas[best]), float(points[best])
+        level = gamma * (1.0 - RANK_TOL)
+        ham = np.block([[s0, -level * eye], [level * eye, -s0.T]])
+        vals = eigvals(ham)
+        crossings = np.unique(np.abs(vals[np.abs(vals.real) <= axis_tol].imag))
+        at_crossings = np.array([sig_min(w) for w in crossings])
+        genuine = at_crossings < gamma
+        if not genuine.any():
+            return PsiEstimate(grid, values, level, argmin, float(lambda_max), depth)
+        # lambda = 0 is on the coarse grid, so sigma_min(0) >= gamma and the
+        # interval between -w and w of the smallest crossing holds no lower value.
+        crossings = crossings[genuine]
+        mids = 0.5 * (crossings[1:] + crossings[:-1])
+        points = np.concatenate([crossings, mids])
+        sigmas = np.concatenate([at_crossings[genuine], [sig_min(w) for w in mids]])
+    raise NumericalError(
+        f"level-set iteration found no certificate for psi in {refine_depth} iterations; "
+        f"last level {level:.6g} still meets sigma_min on the imaginary axis"
+    )
 
 
 def semigroup_bound_check(

@@ -72,6 +72,20 @@ def test_unknown_key_is_config_error(tmp_path):
     assert main(_args(path, "validate")) == 1
 
 
+@pytest.mark.parametrize(
+    "setting, old, new",
+    [
+        ("spectral.refine_depth", "refine_depth: 25", "refine_depth: 0"),
+        ("evolve.snapshot_every", "observe_every: 5", "observe_every: 5\n  snapshot_every: -5"),
+    ],
+)
+def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting, old, new):
+    path = tmp_path / "broken.yaml"
+    path.write_text(GT_CONFIG.format(out=tmp_path / "out").replace(old, new))
+    assert main(_args(path, "validate")) == 1
+    assert setting in capsys.readouterr().err
+
+
 def test_steady_artifacts(gt_config, tmp_path):
     assert main(_args(gt_config, "steady")) == 0
     cols = read_csv_columns(tmp_path / "out" / "steady.csv")

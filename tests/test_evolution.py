@@ -37,6 +37,11 @@ def test_cfl_violation_raises(gen_gt_64):
         )
 
 
+def test_negative_snapshot_every_raises(gen_gt_64):
+    with pytest.raises(ConfigurationError):
+        ts.evolve(gen_gt_64, ts.steady_plus_mode(gen_gt_64, 1, 0.01), T=0.1, dt=0.01, snapshot_every=-5)
+
+
 def test_schemes_agree_on_smooth_data(gen_gt_64):
     p0 = ts.steady_plus_mode(gen_gt_64, 1, 0.01)
     dt = 2e-4

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 import twospeed as ts
 from twospeed.errors import ConfigurationError, NumericalError
@@ -105,9 +106,53 @@ def test_psi_sweep_mirror_symmetry(gen_gt_64):
         assert plus == pytest.approx(minus, abs=1e-11)
 
 
-def test_psi_sweep_warns_on_short_sweep(gen_gt_64):
-    est = ts.psi_sweep(gen_gt_64, lambda_max=1.0, coarse_points=16, refine_depth=5)
-    assert est.warnings
+def test_psi_certificate_ignores_sweep_range(gen_variant_64):
+    # The coarse grid only seeds the level-set iteration, so a sweep that
+    # stops short of the minimum still certifies the same gap.
+    full = ts.psi_sweep(gen_variant_64)
+    short = ts.psi_sweep(gen_variant_64, lambda_max=1.0, coarse_points=16, refine_depth=5)
+    assert short.psi_hat == pytest.approx(full.psi_hat, rel=1e-9)
+    assert short.psi_hat <= abs(ts.spectrum(gen_variant_64).x0_abscissa)
+    assert not short.warnings
+
+
+def test_psi_iteration_cap_raises(gen_variant_64):
+    # The first level comes from samples, so one iteration cannot certify it.
+    with pytest.raises(NumericalError):
+        ts.psi_sweep(gen_variant_64, coarse_points=16, refine_depth=1)
+
+
+def test_psi_certificate_is_tight_lower_bound():
+    # Draws from the benchmark's admissible field box at n = 32.
+    rng = np.random.default_rng(20220126)
+    for draw in range(10):
+        u = rng.uniform([0.8, -1.2, 0.2, -0.2, 0.5], [1.2, -0.8, 0.5, 0.2, 1.5])
+        gen = ts.assemble(
+            ts.FieldSpec.constant(u[0]),
+            ts.FieldSpec.trigonometric(u[1], u[2], u[3]),
+            ts.FieldSpec.constant(u[4]),
+            ts.Grid(32),
+        )
+        est = ts.psi_sweep(gen, coarse_points=16)
+        assert est.psi_hat <= abs(ts.spectrum(gen).x0_abscissa) + 1e-9, f"draw {draw}"
+
+        # Beyond ||S0|| + psi_hat, sigma_min exceeds psi_hat; the finest
+        # grid cell around the grid minimum is then polished by Brent.
+        s0 = restricted_operator(gen)
+        eye = np.eye(s0.shape[0])
+
+        def sig_min(lam):
+            return scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1]
+
+        lams = np.linspace(0.0, np.linalg.norm(s0, 2) + est.psi_hat, 400)
+        values = np.array([sig_min(lam) for lam in lams])
+        i = int(np.argmin(values))
+        bracket = (lams[max(i - 1, 0)], lams[min(i + 1, len(lams) - 1)])
+        polished = scipy.optimize.minimize_scalar(
+            sig_min, bounds=bracket, method="bounded", options={"xatol": 1e-10}
+        ).fun
+        assert est.psi_hat <= min(values.min(), polished), f"draw {draw}"
+        assert polished <= est.psi_hat * (1.0 + 1e-6), f"draw {draw}"
 
 
 def test_psi_sweep_validates_arguments(gen_gt_64):
@@ -115,6 +160,8 @@ def test_psi_sweep_validates_arguments(gen_gt_64):
         ts.psi_sweep(gen_gt_64, lambda_max=-1.0)
     with pytest.raises(ConfigurationError):
         ts.psi_sweep(gen_gt_64, coarse_points=8)
+    with pytest.raises(ConfigurationError):
+        ts.psi_sweep(gen_gt_64, refine_depth=0)
 
 
 def test_degenerate_gap_closes_under_refinement(gt_fields):
