@@ -117,6 +117,8 @@ def _get_number(node: dict, key: str, path: str, default=None, positive=False, i
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(f"{path}.{key}", f"expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _fail(f"{path}.{key}", f"must be finite, got {value!r}")
     if integer:
         if int(value) != value:
             raise _fail(f"{path}.{key}", f"expected an integer, got {value!r}")
@@ -168,19 +170,26 @@ def _field_from_node(node, path: str, base_dir: Path) -> FieldSpec:
 
 
 def _read_table(path: Path):
+    """Two-column CSV samples; only the first non-comment row may be a header."""
     xs, vs = [], []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    first_row = True
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
         if len(parts) < 2:
-            raise ConfigurationError(f"{path}: expected two comma-separated columns")
+            raise ConfigurationError(f"{path}, line {lineno}: expected two comma-separated columns")
         try:
-            xs.append(float(parts[0]))
-            vs.append(float(parts[1]))
+            x, v = float(parts[0]), float(parts[1])
         except ValueError:
-            continue  # header row
+            if first_row:
+                first_row = False
+                continue
+            raise ConfigurationError(f"{path}, line {lineno}: malformed sample row {line!r}") from None
+        first_row = False
+        xs.append(x)
+        vs.append(v)
     if len(xs) < 2:
         raise ConfigurationError(f"{path}: needs at least two numeric sample rows")
     return xs, vs
@@ -265,8 +274,8 @@ def load_config(path, out_override=None) -> RunConfig:
         raise _fail("spectral.t_grid", "expected a non-empty list of times")
     t_vals = []
     for i, item in enumerate(t_grid):
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or item < 0:
-            raise _fail(f"spectral.t_grid[{i}]", f"expected a non-negative time, got {item!r}")
+        if isinstance(item, bool) or not isinstance(item, (int, float)) or not 0 <= item < math.inf:
+            raise _fail(f"spectral.t_grid[{i}]", f"expected a finite non-negative time, got {item!r}")
         t_vals.append(float(item))
     if any(b <= a for a, b in zip(t_vals, t_vals[1:])):
         raise _fail("spectral.t_grid", "times must be strictly increasing")

@@ -66,10 +66,11 @@ class FieldSpec:
     kind:
         One of ``constant``, ``affine``, ``trigonometric``, ``tabulated``.
     coeffs:
-        Kind-specific real coefficients (empty for tabulated fields).
+        Kind-specific finite real coefficients (empty for tabulated
+        fields).
     table:
         For tabulated fields, a pair ``(xs, vs)`` of equal-length tuples
-        with ``xs`` strictly increasing from 0 to 1.
+        of finite values with ``xs`` strictly increasing from 0 to 1.
     """
 
     kind: str
@@ -82,12 +83,17 @@ class FieldSpec:
         arity = {"constant": 1, "affine": 2, "trigonometric": 3, "tabulated": 0}[self.kind]
         if len(self.coeffs) != arity:
             raise ValueError(f"{self.kind} field takes {arity} coefficients, got {len(self.coeffs)}")
+        if not np.all(np.isfinite(np.asarray(self.coeffs, dtype=float))):
+            raise ValueError(f"{self.kind} field coefficients must be finite, got {self.coeffs}")
         if self.kind == "tabulated":
             if len(self.table) != 2 or len(self.table[0]) != len(self.table[1]):
                 raise ValueError("tabulated field needs matching abscissa and value tuples")
             xs = np.asarray(self.table[0], dtype=float)
             if xs.size < 2:
                 raise ValueError("tabulated field needs at least two samples")
+            vs = np.asarray(self.table[1], dtype=float)
+            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+                raise ValueError("tabulated samples must be finite")
             if not np.all(np.diff(xs) > 0):
                 raise ValueError("tabulated abscissae must be strictly increasing")
             if abs(xs[0]) > _EDGE_TOL or abs(xs[-1] - 1.0) > _EDGE_TOL:

@@ -17,15 +17,18 @@ weighted by that null vector - the structural property every diagnostic
 downstream relies on.  Accuracy is recovered through grid-refinement
 studies, not scheme order.
 
-The canonical discrete steady state is the matrix's own null vector
-(computed by inverse iteration), not the sampled ODE solution; the ODE
-solution from :mod:`twospeed.steady_state` serves as an O(h)
-cross-validation oracle and as the iteration's initial guess.
+The canonical discrete steady state is the matrix's own null vector, not
+the sampled ODE solution.  Because every column of the matrix ``A`` sums
+to zero, the bordered matrix ``[[A, 1], [1^T, 0]]`` is nonsingular
+exactly when the kernel of ``A`` is one-dimensional (Keller 1977), so one
+LU factorisation of it yields both the null vector and, through its
+reciprocal condition estimate, the test that the kernel is simple.  The
+ODE solution from :mod:`twospeed.steady_state` serves as an O(h)
+cross-validation oracle.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +39,12 @@ from .errors import (
     InvalidCrossSectionError,
     PositivityError,
     ShapeError,
-    TwoSpeedError,
 )
 from .fields import DEGENERACY_FLOOR, FieldSpec, evaluate
 from .space import StateVector, WeightedSpace
-from . import steady_state as steady_mod
 
 #: Relative tolerance deciding what counts as the null space.
 RANK_TOL = 1e-8
-
-#: Inverse-iteration controls for the null vector.
-NULL_MAX_ITER = 50
-NULL_CONV_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -150,77 +147,6 @@ def _upwind_block(faces: np.ndarray, h: float) -> np.ndarray:
     return block
 
 
-def _ode_guess(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, grid: Grid) -> np.ndarray:
-    """Sampled ODE steady state averaged onto cells, or constants."""
-    try:
-        ss = steady_mod.solve_steady(b1, b2, sigma, grid.n, steps=max(256, grid.n))
-    except TwoSpeedError:
-        return np.ones(2 * grid.n)
-    c1 = 0.5 * (ss.p1[:-1] + ss.p1[1:])
-    c2 = 0.5 * (ss.p2[:-1] + ss.p2[1:])
-    return np.concatenate([c1, c2])
-
-
-def _null_vector(matrix: np.ndarray, guess: np.ndarray, h: float):
-    """Positive-mass null vector by inverse iteration.
-
-    The assembled matrix is singular by construction, so the factored
-    system carries a tiny spectral shift that keeps the triangular
-    solves finite; iterates are renormalised to discrete mass one and
-    the loop stops when successive iterates agree to ``NULL_CONV_TOL``.
-    Returns the vector together with the LU factorisation for reuse by
-    the kernel-dimension probe.
-    """
-    m = matrix.shape[0]
-    scale = np.abs(matrix).sum(axis=1).max()
-    shift = 1e-13 * max(scale, 1.0)
-    v = guess / (h * guess.sum())
-    for _ in range(4):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            try:
-                lu = scipy.linalg.lu_factor(matrix - shift * np.eye(m))
-            except np.linalg.LinAlgError:
-                shift *= 100.0
-                continue
-        trial = v.copy()
-        for _ in range(NULL_MAX_ITER):
-            with np.errstate(all="ignore"):
-                new = scipy.linalg.lu_solve(lu, trial)
-            if not np.all(np.isfinite(new)):
-                break
-            mass = h * new.sum()
-            if mass == 0.0:
-                break
-            new = new / mass
-            delta = np.abs(new - trial).max()
-            trial = new
-            if delta < NULL_CONV_TOL * max(np.abs(trial).max(), 1e-300):
-                return trial, lu
-        shift *= 100.0
-    raise DefectiveGeneratorError("inverse iteration failed to converge to a null vector")
-
-
-def _has_second_null_direction(matrix, lu, null_vec, tol_abs, probes: int = 8) -> bool:
-    """Probe for a kernel direction orthogonal to the known null vector."""
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal(matrix.shape[0])
-    v = null_vec / np.linalg.norm(null_vec)
-    for _ in range(probes):
-        w = w - v * (v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return False
-        w = w / nw
-        if np.abs(matrix @ w).max() <= tol_abs:
-            return True
-        with np.errstate(all="ignore"):
-            w = scipy.linalg.lu_solve(lu, w)
-        if not np.all(np.isfinite(w)):
-            return False
-    return False
-
-
 def assemble(
     b1: FieldSpec,
     b2: FieldSpec,
@@ -241,7 +167,10 @@ def assemble(
     InvalidCrossSectionError
         If ``sigma`` is negative beyond ``floor`` at a cell center.
     DefectiveGeneratorError
-        If the null space is empty-to-tolerance or has dimension >= 2.
+        If the 1-norm reciprocal condition estimate of the bordered
+        matrix ``[[A, 1], [1^T, 0]]`` is below ``rank_tol`` (the kernel
+        is not simple to tolerance), or if the null vector's residual
+        exceeds ``rank_tol`` relative to the operator scale.
     PositivityError
         If the null vector is not entrywise positive.
     """
@@ -258,7 +187,8 @@ def assemble(
     sg = np.maximum(sg, 0.0)
 
     n = grid.n
-    matrix = np.zeros((2 * n, 2 * n))
+    m = 2 * n
+    matrix = np.zeros((m, m))
     matrix[:n, :n] = _upwind_block(f1, grid.h)
     matrix[n:, n:] = _upwind_block(f2, grid.h)
     idx = np.arange(n)
@@ -267,8 +197,24 @@ def assemble(
     matrix[n + idx, n + idx] -= sg
     matrix[idx, n + idx] += sg
 
-    guess = _ode_guess(b1, b2, sigma, grid)
-    vec, lu = _null_vector(matrix, guess, grid.h)
+    # Fortran order lets LAPACK factor the bordered matrix in place.
+    # ``dgetrf`` rather than ``lu_factor``: the latter warns on the exact
+    # zero pivot of ``sigma == 0`` before the condition test rejects it,
+    # and ``not >=`` rejects a NaN estimate as well.
+    bordered = np.zeros((m + 1, m + 1), order="F")
+    bordered[:m, :m] = matrix
+    bordered[:m, m] = 1.0
+    bordered[m, :m] = 1.0
+    anorm = scipy.linalg.lapack.dlange("1", bordered)
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(bordered, overwrite_a=True)
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm)
+    if not rcond >= rank_tol:
+        raise DefectiveGeneratorError(
+            f"kernel is not simple: bordered reciprocal condition {rcond:.3e} < {rank_tol:.1e}"
+        )
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    vec = scipy.linalg.lu_solve((lu, piv), rhs)[:m]
 
     scale = np.abs(matrix).sum(axis=1).max()
     tol_abs = rank_tol * max(scale, 1.0) * max(np.abs(vec).max(), 1e-300)
@@ -277,8 +223,6 @@ def assemble(
         raise DefectiveGeneratorError(
             f"candidate null vector has residual {resid:.3e} > {tol_abs:.3e}"
         )
-    if _has_second_null_direction(matrix, lu, vec, rank_tol * max(scale, 1.0)):
-        raise DefectiveGeneratorError("null space has dimension >= 2 at rank tolerance")
     if vec.min() <= 0.0:
         raise PositivityError(f"discrete steady state is not positive: min = {vec.min():.3e}")
     vec = vec / (grid.h * vec.sum())

@@ -77,6 +77,11 @@ def test_unknown_key_is_config_error(tmp_path):
     [
         ("spectral.refine_depth", "refine_depth: 25", "refine_depth: 0"),
         ("evolve.snapshot_every", "observe_every: 5", "observe_every: 5\n  snapshot_every: -5"),
+        ("evolve.T", "T: 8.0", "T: .inf"),
+        ("evolve.dt", "dt: 0.002", "dt: .nan"),
+        ("spectral.t_grid[2]", "t_grid: [0.5, 1.0, 2.0]", "t_grid: [0.5, 1.0, .inf]"),
+        ("fields.sigma.value", "grid:", "  sigma: {kind: constant, value: .inf}\ngrid:"),
+        ("fields.sigma", "grid:", "  sigma: {kind: tabulated, x: [0.0, 1.0], v: [1.0, .nan]}\ngrid:"),
     ],
 )
 def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting, old, new):
@@ -84,6 +89,21 @@ def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting, old, ne
     path.write_text(GT_CONFIG.format(out=tmp_path / "out").replace(old, new))
     assert main(_args(path, "validate")) == 1
     assert setting in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["0.5,1O.0", "O.5,1O.0"])
+def test_malformed_table_row_is_config_error(tmp_path, capsys, row):
+    table = tmp_path / "sigma.csv"
+    table.write_text(f"x,sigma\n0.0,1.0\n{row}\n1.0,1.0\n")
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        GT_CONFIG.format(out=tmp_path / "out").replace(
+            "grid:", "  sigma: {kind: tabulated, csv: sigma.csv}\ngrid:"
+        )
+    )
+    assert main(_args(path, "validate")) == 1
+    err = capsys.readouterr().err
+    assert "sigma.csv, line 3" in err and row in err
 
 
 def test_steady_artifacts(gt_config, tmp_path):

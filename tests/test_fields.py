@@ -65,6 +65,25 @@ def test_tabulated_validation():
         ts.FieldSpec.tabulated([0.0, 0.5, 0.5, 1.0], [1, 1, 1, 1])
     with pytest.raises(ValueError):
         ts.FieldSpec.tabulated([0.1, 1.0], [1, 1])
+    with pytest.raises(ValueError):
+        ts.FieldSpec.tabulated([0.0, 0.5, 1.0], [1, float("inf"), 1])
+    with pytest.raises(ValueError):
+        ts.FieldSpec.tabulated([0.0, float("nan"), 1.0], [1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: ts.FieldSpec.constant(bad),
+        lambda bad: ts.FieldSpec.affine(1.0, bad),
+        lambda bad: ts.FieldSpec.trigonometric(1.0, 0.2, bad),
+    ],
+    ids=["constant", "affine", "trigonometric"],
+)
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_coefficients_rejected(make, bad):
+    with pytest.raises(ValueError):
+        make(bad)
 
 
 def test_defining_parameters_reproduced():
