@@ -17,6 +17,13 @@ weighted by that null vector - the structural property every diagnostic
 downstream relies on.  Accuracy is recovered through grid-refinement
 studies, not scheme order.
 
+The operator is assembled once, column by column, as a CSC sparse array
+``operator`` with at most four stored entries per column (the cell, its
+two transport neighbours and its reaction partner).  The time stepper and
+every matrix-vector product use it.  ``matrix`` is its dense copy, for
+the dense diagnostics (kernel solve, spectrum, resolvent and semigroup
+norms) and for tests.
+
 The canonical discrete steady state is the matrix's own null vector, not
 the sampled ODE solution.  Because every column of the matrix ``A`` sums
 to zero, the bordered matrix ``[[A, 1], [1^T, 0]]`` is nonsingular
@@ -33,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import (
     DefectiveGeneratorError,
@@ -72,14 +81,18 @@ class Grid:
 class GeneratorMatrix:
     """Assembled generator with its weighted-metric data.
 
-    ``matrix`` is the dense ``2n x 2n`` real operator on stacked cell
-    averages; ``steady`` is its positive null vector normalised to
-    discrete total mass one, and the metric weights are the entrywise
-    reciprocals of ``steady``.
+    ``operator`` is the real ``2n x 2n`` generator on stacked cell
+    averages as a CSC sparse array with at most four stored entries per
+    column; matrix-vector products and time stepping use it.  ``matrix``
+    is the same operator as a dense array (``operator.toarray()``) for
+    the dense diagnostics.  ``steady`` is the positive null vector
+    normalised to discrete total mass one, and the metric weights are
+    the entrywise reciprocals of ``steady``.
     """
 
     grid: Grid
     matrix: np.ndarray
+    operator: scipy.sparse.csc_array
     face_b1: np.ndarray
     face_b2: np.ndarray
     sigma_cells: np.ndarray
@@ -118,11 +131,11 @@ class GeneratorMatrix:
         return float(max(np.abs(self.face_b1).max(), np.abs(self.face_b2).max()))
 
     def operator_scale(self) -> float:
-        """Infinity norm of the matrix, used to scale rank tolerances."""
-        return float(np.abs(self.matrix).sum(axis=1).max())
+        """Infinity norm of the operator, used to scale rank tolerances."""
+        return float(scipy.sparse.linalg.norm(self.operator, np.inf))
 
 
-def _upwind_block(faces: np.ndarray, h: float) -> np.ndarray:
+def _upwind_columns(faces: np.ndarray, h: float):
     """Upwind transport block ``-d(b p)/dx`` with flux-periodic seam.
 
     ``faces`` holds the speed at the ``n + 1`` face coordinates.  The
@@ -130,21 +143,16 @@ def _upwind_block(faces: np.ndarray, h: float) -> np.ndarray:
     there; the seam flux uses ``b(1)`` for rightward and ``b(0)`` for
     leftward transport, so a single-signed field reproduces the
     constant-sign upwinding exactly.
+
+    Returns the three entries of each column ``j``: the outflow of cell
+    ``j`` through its own faces (diagonal) and the part of it received by
+    the right neighbour through face ``j + 1`` and by the left neighbour
+    through face ``j``, cyclically across the seam.
     """
     n = len(faces) - 1
     bp = np.maximum(faces, 0.0)
     bm = np.minimum(faces, 0.0)
-    block = np.zeros((n, n))
-    idx = np.arange(n)
-    # Outflow through the cell's own faces.
-    block[idx, idx] = (bm[:n] - bp[1:]) / h
-    # Inflow from the left neighbour (rightward transport) ...
-    block[idx[1:], idx[:-1]] = bp[1:n] / h
-    block[0, n - 1] = bp[n] / h
-    # ... and from the right neighbour (leftward transport).
-    block[idx[:-1], idx[1:]] = -bm[1:n] / h
-    block[n - 1, 0] = -bm[0] / h
-    return block
+    return (bm[:n] - bp[1:]) / h, bp[1:] / h, -bm[:n] / h
 
 
 def assemble(
@@ -188,14 +196,21 @@ def assemble(
 
     n = grid.n
     m = 2 * n
-    matrix = np.zeros((m, m))
-    matrix[:n, :n] = _upwind_block(f1, grid.h)
-    matrix[n:, n:] = _upwind_block(f2, grid.h)
     idx = np.arange(n)
-    matrix[idx, idx] -= sg
-    matrix[n + idx, idx] += sg
-    matrix[n + idx, n + idx] -= sg
-    matrix[idx, n + idx] += sg
+    right, left = np.roll(idx, -1), np.roll(idx, 1)
+    rows, cols, vals = [], [], []
+    for offset, faces_b, partner in ((0, f1, n), (n, f2, 0)):
+        diag, to_right, to_left = _upwind_columns(faces_b, grid.h)
+        rows += [idx + offset, right + offset, left + offset, idx + partner]
+        cols += [idx + offset] * 4
+        vals += [diag - sg, to_right, to_left, sg]
+    operator = scipy.sparse.csc_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
+    )
+    # Upwinding leaves one transport neighbour at zero wherever the speed
+    # has one sign; storing only true non-zeros keeps the LU fill small.
+    operator.eliminate_zeros()
+    matrix = operator.toarray()
 
     # Fortran order lets LAPACK factor the bordered matrix in place.
     # ``dgetrf`` rather than ``lu_factor``: the latter warns on the exact
@@ -216,9 +231,9 @@ def assemble(
     rhs[m] = 1.0
     vec = scipy.linalg.lu_solve((lu, piv), rhs)[:m]
 
-    scale = np.abs(matrix).sum(axis=1).max()
+    scale = scipy.sparse.linalg.norm(operator, np.inf)
     tol_abs = rank_tol * max(scale, 1.0) * max(np.abs(vec).max(), 1e-300)
-    resid = np.abs(matrix @ vec).max()
+    resid = np.abs(operator @ vec).max()
     if resid > tol_abs:
         raise DefectiveGeneratorError(
             f"candidate null vector has residual {resid:.3e} > {tol_abs:.3e}"
@@ -227,21 +242,21 @@ def assemble(
         raise PositivityError(f"discrete steady state is not positive: min = {vec.min():.3e}")
     vec = vec / (grid.h * vec.sum())
 
-    return GeneratorMatrix(grid, matrix, f1, f2, sg, vec)
+    return GeneratorMatrix(grid, matrix, operator, f1, f2, sg, vec)
 
 
 def apply(gen: GeneratorMatrix, p: StateVector) -> StateVector:
     """Matrix action of the generator on a cell state."""
     if len(p.p1) != gen.grid.n:
         raise ShapeError("state does not live on the generator's cell grid")
-    out = gen.matrix @ p.stacked
+    out = gen.operator @ p.stacked
     return StateVector.from_stacked(p.x, out)
 
 
 def rayleigh_real_part(gen: GeneratorMatrix, stacked: np.ndarray) -> float:
     """``Re (A p, p) / (p, p)`` in the metric weighted by the null state."""
     w = gen.weights
-    ap = gen.matrix @ stacked
+    ap = gen.operator @ stacked
     num = float(np.real(np.sum(ap * np.conj(stacked) * w)))
     den = float(np.sum(np.abs(stacked) ** 2 * w))
     return num / den

@@ -188,8 +188,8 @@ def psi_sweep(
     _check_cap(gen, dense_cap)
     if lambda_max == 0.0:
         lambda_max = default_lambda_max(gen)
-    if lambda_max <= 0.0:
-        raise ConfigurationError("lambda_max must be positive")
+    if not (lambda_max > 0.0 and np.isfinite(lambda_max)):
+        raise ConfigurationError(f"lambda_max must be positive and finite, got {lambda_max!r}")
     if coarse_points < 16:
         raise ConfigurationError("coarse_points must be at least 16")
     if refine_depth < 1:
@@ -257,8 +257,13 @@ def semigroup_bound_check(
     """
     _check_cap(gen, dense_cap)
     times = np.asarray(t_grid, dtype=float)
-    if len(times) == 0 or np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
-        raise ConfigurationError("t_grid must be non-negative and strictly increasing")
+    if (
+        len(times) == 0
+        or not np.all(np.isfinite(times))
+        or np.any(times < 0.0)
+        or np.any(np.diff(times) <= 0.0)
+    ):
+        raise ConfigurationError("t_grid must be finite, non-negative and strictly increasing")
 
     s0 = restricted_operator(gen)
     norms = np.empty(len(times))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from twospeed.errors import (
     InsufficientDataError,
     NonuniformSamplingError,
 )
+from twospeed.space import deflate_to_mean_zero, norm, total_mass
 
 
 def test_steady_initial_data_is_a_fixed_point(gen_gt_64):
@@ -40,6 +43,65 @@ def test_cfl_violation_raises(gen_gt_64):
 def test_negative_snapshot_every_raises(gen_gt_64):
     with pytest.raises(ConfigurationError):
         ts.evolve(gen_gt_64, ts.steady_plus_mode(gen_gt_64, 1, 0.01), T=0.1, dt=0.01, snapshot_every=-5)
+
+
+@pytest.mark.parametrize(
+    "T, dt",
+    [(0.0, 0.01), (-1.0, 0.01), (np.nan, 0.01), (np.inf, 0.01), (1.0, np.nan), (1.0, np.inf)],
+    ids=["T=0", "T=-1", "T=nan", "T=inf", "dt=nan", "dt=inf"],
+)
+def test_out_of_range_times_raise(gen_gt_64, T, dt):
+    with pytest.raises(ConfigurationError):
+        ts.evolve(gen_gt_64, ts.steady_plus_mode(gen_gt_64, 1, 0.01), T=T, dt=dt)
+
+
+def _complex_mode(gen, k, amplitude):
+    p0 = ts.steady_plus_mode(gen, k, amplitude)
+    bump = 1j * amplitude * np.sin(2.0 * np.pi * k * gen.grid.centers())
+    return gen.state(p0.p1 + bump, p0.p2 - bump)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_implicit_step_matches_dense_trapezoid(variant_fields, kind):
+    gen = ts.assemble(*variant_fields, ts.Grid(32))
+    p0 = ts.steady_plus_mode(gen, 1, 0.05) if kind == "real" else _complex_mode(gen, 1, 0.05)
+    dt = 0.05
+    series = ts.evolve(gen, p0, T=dt, dt=dt, snapshot_every=1)
+    step = series.snapshots[1][1].stacked
+    eye = np.eye(gen.size)
+    ref = np.linalg.solve(eye - 0.5 * dt * gen.matrix, (eye + 0.5 * dt * gen.matrix) @ p0.stacked)
+    assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_observers_match_weighted_space(gen_variant_64, kind):
+    gen = gen_variant_64
+    p0 = ts.steady_plus_mode(gen, 2, 0.05) if kind == "real" else _complex_mode(gen, 2, 0.05)
+    series = ts.evolve(gen, p0, T=0.05, dt=1e-3, observe_every=10, snapshot_every=10)
+    space = gen.space()
+    assert len(series.snapshots) == len(series.times)
+    for i, (_, state) in enumerate(series.snapshots):
+        dev = norm(space, deflate_to_mean_zero(space, state))
+        ratio_gap = state.p1 / gen.steady1 - state.p2 / gen.steady2
+        diss = gen.grid.h * np.sum(gen.sigma_cells * (gen.steady1 + gen.steady2) * np.abs(ratio_gap) ** 2)
+        assert series.mass[i] == pytest.approx(total_mass(space, state).real, rel=1e-14)
+        assert series.deviation[i] == pytest.approx(dev, rel=1e-14)
+        assert series.entropy[i] == pytest.approx(dev * dev, rel=1e-14)
+        assert series.dissipation[i] == pytest.approx(diss, rel=1e-14)
+
+
+@pytest.mark.parametrize("scheme, dt", [("implicit-trapezoid", 1e-3), ("explicit-rk4", 5e-4)])
+def test_evolve_allocates_no_dense_matrix(variant_fields, scheme, dt):
+    # A dense 2048 x 2048 array is 33.6 MB; the sparse stepper needs O(n).
+    gen = ts.assemble(*variant_fields, ts.Grid(1024))
+    p0 = ts.steady_plus_mode(gen, 1, 0.01)
+    tracemalloc.start()
+    try:
+        ts.evolve(gen, p0, T=10 * dt, dt=dt, scheme=scheme, observe_every=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_schemes_agree_on_smooth_data(gen_gt_64):

@@ -15,6 +15,37 @@ def test_variant_column_sums_vanish(gen_variant_128):
     assert np.abs(gen_variant_128.matrix.sum(axis=0)).max() <= 1e-13 * scale
 
 
+def _dense_reference(gen):
+    """The operator filled entry by entry into a dense array."""
+    n, h = gen.grid.n, gen.grid.h
+    matrix = np.zeros((2 * n, 2 * n))
+    idx = np.arange(n)
+    for off, faces in ((0, gen.face_b1), (n, gen.face_b2)):
+        bp, bm = np.maximum(faces, 0.0), np.minimum(faces, 0.0)
+        block = matrix[off : off + n, off : off + n]
+        block[idx, idx] = (bm[:n] - bp[1:]) / h
+        block[idx[1:], idx[:-1]] = bp[1:n] / h
+        block[0, n - 1] = bp[n] / h
+        block[idx[:-1], idx[1:]] = -bm[1:n] / h
+        block[n - 1, 0] = -bm[0] / h
+    sg = gen.sigma_cells
+    matrix[idx, idx] -= sg
+    matrix[n + idx, idx] += sg
+    matrix[n + idx, n + idx] -= sg
+    matrix[idx, n + idx] += sg
+    return matrix
+
+
+@pytest.mark.parametrize("name", ["gen_gt_64", "gen_variant_128"])
+def test_sparse_operator_matches_dense_matrix(request, name):
+    gen = request.getfixturevalue(name)
+    assert gen.operator.format == "csc"
+    assert np.diff(gen.operator.indptr).max() <= 4
+    assert gen.operator.toarray().tobytes() == gen.matrix.tobytes()
+    assert np.array_equal(gen.matrix, _dense_reference(gen))
+    assert gen.operator_scale() == pytest.approx(np.abs(gen.matrix).sum(axis=1).max(), rel=1e-15)
+
+
 def test_goldstein_taylor_steady_is_constant(gen_gt_64):
     assert np.abs(gen_gt_64.steady - 0.5).max() < 1e-12
 

@@ -164,6 +164,12 @@ def test_psi_sweep_validates_arguments(gen_gt_64):
         ts.psi_sweep(gen_gt_64, refine_depth=0)
 
 
+@pytest.mark.parametrize("lambda_max", [np.nan, np.inf], ids=["nan", "inf"])
+def test_psi_sweep_rejects_non_finite_lambda_max(gen_gt_64, lambda_max):
+    with pytest.raises(ConfigurationError):
+        ts.psi_sweep(gen_gt_64, lambda_max=lambda_max)
+
+
 def test_degenerate_gap_closes_under_refinement(gt_fields):
     b1, _, sigma = gt_fields
     psis = {}
@@ -188,6 +194,13 @@ def test_semigroup_t_grid_validation(gen_gt_64):
     est = ts.psi_sweep(gen_gt_64, lambda_max=20.0, coarse_points=16, refine_depth=5)
     with pytest.raises(ConfigurationError):
         ts.semigroup_bound_check(gen_gt_64, est, [2.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_semigroup_rejects_non_finite_times(gen_gt_64, bad):
+    est = ts.PsiEstimate(np.zeros(16), np.ones(16), 1.0, 0.0, 20.0, 1)
+    with pytest.raises(ConfigurationError):
+        ts.semigroup_bound_check(gen_gt_64, est, [0.0, 1.0, bad])
 
 
 def test_consistency_triangle(gen_variant_128):
