@@ -92,7 +92,6 @@ class PsiEstimate:
     argmin_lambda: float
     lambda_max: float
     refinement_depth: int
-    warnings: tuple = ()
 
 
 @dataclass(frozen=True)

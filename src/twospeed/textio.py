@@ -49,17 +49,27 @@ def write_json(path, payload) -> None:
 
 
 def read_csv_columns(path):
-    """Read a CSV written by :func:`write_csv` back into named arrays."""
+    """Read a CSV written by :func:`write_csv` back into named arrays.
+
+    A missing header, a row whose length differs from the header's or a
+    non-numeric cell raises ``ValueError`` naming the file (and line).
+    """
     path = Path(path)
     rows = []
     header = None
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line or line.startswith("#"):
             continue
+        tokens = line.split(",")
         if header is None:
-            header = line.split(",")
+            header = tokens
             continue
-        rows.append([float(tok) for tok in line.split(",")])
+        if len(tokens) != len(header):
+            raise ValueError(f"{path}, line {lineno}: expected {len(header)} values, got {len(tokens)}")
+        try:
+            rows.append([float(tok) for tok in tokens])
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno}: malformed row {line!r}") from None
     if header is None:
         raise ValueError(f"{path} contains no header row")
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))

@@ -163,6 +163,31 @@ def test_evolve_from_csv_initial_data(gt_config, tmp_path):
     assert np.abs(cols["deviation"]).max() < 1e-11
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,p1,p2\n0.0,0.5,abc\n",  # non-numeric cell
+        "# comment lines only\n",  # no header row
+        "x,p1,p2\n0.0,0.5,0.5\n0.1,0.5\n",  # ragged row
+        "x,p1,p2\n"
+        + "".join(f"{(i + 0.5) / 64},{'nan' if i == 7 else 0.5},0.5\n" for i in range(64)),
+    ],
+    ids=["non-numeric", "no-header", "ragged", "nan"],
+)
+def test_malformed_initial_csv_is_config_error(tmp_path, capsys, text):
+    state = tmp_path / "state.csv"
+    state.write_text(text)
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        GT_CONFIG.format(out=tmp_path / "out").replace(
+            "initial: {type: steady-plus-mode, k: 1, amplitude: 0.01}",
+            "initial: {type: from-csv, path: state.csv}",
+        )
+    )
+    assert main(_args(path, "evolve")) == 1
+    assert "state.csv" in capsys.readouterr().err
+
+
 def test_lemma_artifacts(gt_config, tmp_path):
     assert main(_args(gt_config, "lemma")) == 0
     report = json.loads((tmp_path / "out" / "lemma.report.json").read_text())
@@ -186,15 +211,40 @@ def test_report_consistent_run(gt_config, tmp_path, capsys):
     assert "CONSISTENT" in capsys.readouterr().out
 
 
-def test_report_degenerate_with_override_fails_consistency(tmp_path):
+def test_report_degenerate_with_override_fails_consistency(tmp_path, capsys):
     path = tmp_path / "degen.yaml"
     config = GT_CONFIG.format(out=tmp_path / "out").replace("value: -1.0", "value: 1.0")
     config = config.replace("coarse_points: 96", "coarse_points: 64\n  lambda_max: 40.0")
     path.write_text(config)
     assert main(_args(path, "report", "--allow-degenerate")) == 4
+    assert "continuing despite admissibility failure" in capsys.readouterr().err
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is False
     assert "assumptions" in report["violated"]
+
+
+def test_report_reuses_stage_artifacts(gt_config, tmp_path):
+    # One code path per artifact: report writes each stage's CSV and
+    # section exactly as the single-stage command does.
+    stages = ("steady", "spectrum", "psi", "evolve", "lemma")
+    for command in stages:
+        assert main(_args(gt_config, command, "--out", str(tmp_path / "a"))) == 0
+    assert main(_args(gt_config, "report", "--out", str(tmp_path / "b"))) == 0
+    for name in ("steady.csv", "spectrum.csv", "psi_sweep.csv", "timeseries.csv", "lemma.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    report = json.loads((tmp_path / "b" / "report.json").read_text())
+    report["evolve"] = {**report["decay"], **report["entropy"]}
+    singles = {
+        stage: json.loads((tmp_path / "a" / f"{stage}.report.json").read_text()) for stage in stages
+    }
+    for stage, single in singles.items():
+        shared = set(single) & set(report[stage])
+        assert shared and all(single[key] == report[stage][key] for key in shared), stage
+    # report.json splits the evolve section into decay and entropy, which
+    # renames one key; every other section carries all keys of its stage.
+    for stage in ("steady", "spectrum", "psi", "lemma"):
+        assert set(singles[stage]) <= set(report[stage]), stage
+    assert singles["evolve"]["entropy_identity_residual"] == report["entropy"]["identity_residual"]
 
 
 def test_matrix_dump(gt_config, tmp_path):
