@@ -464,8 +464,8 @@ def _psi(cfg: RunConfig, gen):
 
 def _evolve(cfg: RunConfig, gen):
     """The result is ``(series, fit_error)``.  A failed decay fit leaves
-    ``None`` in the section; ``report``, which needs the rate, raises
-    ``fit_error``."""
+    ``None`` in the section; ``evolve`` prints ``fit_error`` on stderr,
+    and ``report``, which needs the rate, raises it."""
     series = evolve(
         gen,
         _initial_state(cfg, gen),
@@ -576,9 +576,11 @@ def _run_stage(name: str, cfg: RunConfig, args) -> int:
         return EXIT_ASSUMPTION
     stage, on_generator = _STAGES[name]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _, section, summary = stage(cfg, _assemble(cfg, args) if on_generator else None)
+    result, section, summary = stage(cfg, _assemble(cfg, args) if on_generator else None)
     write_json(cfg.out_dir / f"{name}.report.json", section)
     print(f"{name}: {summary}")
+    if name == "evolve" and result[1] is not None:
+        print(f"decay fit failed: {result[1]}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -661,20 +663,19 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run even when the admissibility checks fail",
     )
-    common.add_argument(
+    # Only the commands that assemble a generator can dump it.
+    assembling = argparse.ArgumentParser(add_help=False, parents=[common])
+    assembling.add_argument(
         "--dump-matrix",
         action="store_true",
         help="also write the assembled generator matrix (row-major CSV)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "validate": cmd_validate,
-        **{name: functools.partial(_run_stage, name) for name in _STAGES},
-        "report": cmd_report,
-    }
-    for name, handler in handlers.items():
-        sp = sub.add_parser(name, parents=[common])
-        sp.set_defaults(handler=handler)
+    sub.add_parser("validate", parents=[common]).set_defaults(handler=cmd_validate)
+    for name, (_, on_generator) in _STAGES.items():
+        sp = sub.add_parser(name, parents=[assembling if on_generator else common])
+        sp.set_defaults(handler=functools.partial(_run_stage, name))
+    sub.add_parser("report", parents=[assembling]).set_defaults(handler=cmd_report)
     return parser
 
 

@@ -135,7 +135,7 @@ def test_psi_artifacts(gt_config, tmp_path):
     assert (cols["sigma_min"] > 0.0).all()
 
 
-def test_evolve_with_steady_initial_data(tmp_path):
+def test_evolve_with_steady_initial_data(tmp_path, capsys):
     path = tmp_path / "run.yaml"
     config = GT_CONFIG.format(out=tmp_path / "out").replace(
         "initial: {type: steady-plus-mode, k: 1, amplitude: 0.01}",
@@ -146,6 +146,10 @@ def test_evolve_with_steady_initial_data(tmp_path):
     cols = read_csv_columns(tmp_path / "out" / "timeseries.csv")
     assert np.abs(cols["deviation"]).max() < 1e-11
     assert np.abs(cols["mass"] - 1.0).max() < 1e-12
+    # Nothing to fit: the fit keys are null and stderr says why.
+    assert "nothing to fit" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "evolve.report.json").read_text())
+    assert report["alpha_hat"] is None
 
 
 def test_evolve_from_csv_initial_data(gt_config, tmp_path):
@@ -252,6 +256,15 @@ def test_matrix_dump(gt_config, tmp_path):
     lines = (tmp_path / "out" / "generator_matrix.csv").read_text().splitlines()
     assert len(lines) == 128
     assert len(lines[0].split(",")) == 128
+
+
+@pytest.mark.parametrize("command", ["validate", "steady", "lemma"])
+def test_matrix_dump_needs_a_generator(gt_config, tmp_path, command):
+    # These commands assemble no generator, so the flag is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(_args(gt_config, command, "--dump-matrix"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_outputs_are_deterministic(gt_config, tmp_path):

@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twospeed as ts
 from twospeed.errors import ConfigurationError, NumericalError
 from twospeed.generator import symmetrized
-from twospeed.spectral import mean_zero_basis, restricted_operator
+from twospeed.spectral import (
+    SPARSE_SIGMA_MIN_SIDE,
+    default_lambda_max,
+    mean_zero_basis,
+    restricted_operator,
+    sparse_sigma_min,
+)
 
 from upwind_spectrum import goldstein_taylor_upwind_eigenvalues
 
@@ -151,6 +159,46 @@ def test_psi_certificate_is_tight_lower_bound():
         ).fun
         assert est.psi_hat <= min(values.min(), polished), f"draw {draw}"
         assert polished <= est.psi_hat * (1.0 + 1e-6), f"draw {draw}"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    b1=st.floats(0.8, 1.2),
+    a=st.floats(-1.2, -0.8),
+    b=st.floats(0.2, 0.5),
+    c=st.floats(-0.2, 0.2),
+    sigma=st.floats(0.5, 1.5),
+    n=st.sampled_from([16, 32]),
+)
+def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
+    # Admissible draws from the benchmark's field box, below the size at
+    # which psi_sweep switches routes, so the helper is called directly.
+    gen = ts.assemble(
+        ts.FieldSpec.constant(b1),
+        ts.FieldSpec.trigonometric(a, b, c),
+        ts.FieldSpec.constant(sigma),
+        ts.Grid(n),
+    )
+    s0 = restricted_operator(gen)
+    eye = np.eye(s0.shape[0])
+    mu = scipy.linalg.eigvals(s0)
+    # 1e-15: next to lambda = 0, where S - i lambda alone is nearly singular.
+    lams = [0.0, 1e-15, *mu[np.argsort(mu.real)[-8:]].imag, default_lambda_max(gen)]
+    sig_min = sparse_sigma_min(gen)
+    for lam in lams:
+        dense = scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1]
+        assert sig_min(lam) == pytest.approx(dense, rel=1e-12), f"lambda = {lam}"
+
+
+def test_sparse_psi_sweep_matches_dense_svd(gen_variant_128):
+    assert gen_variant_128.size >= SPARSE_SIGMA_MIN_SIDE
+    est = ts.psi_sweep(gen_variant_128, coarse_points=128, refine_depth=30)
+    s0 = restricted_operator(gen_variant_128)
+    eye = np.eye(s0.shape[0])
+    for i in np.linspace(0, len(est.lambda_grid) - 1, 8).astype(int):
+        dense = scipy.linalg.svdvals(s0 - 1j * est.lambda_grid[i] * eye)[-1]
+        assert est.sigma_min_values[i] == pytest.approx(dense, rel=1e-12), f"point {i}"
+    assert est.psi_hat <= abs(ts.spectrum(gen_variant_128).x0_abscissa)
 
 
 def test_psi_sweep_validates_arguments(gen_gt_64):
