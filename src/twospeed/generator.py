@@ -19,24 +19,27 @@ studies, not scheme order.
 
 The operator is assembled once, column by column, as a CSC sparse array
 ``operator`` with at most four stored entries per column (the cell, its
-two transport neighbours and its reaction partner).  The time stepper and
-every matrix-vector product use it.  ``matrix`` is its dense copy, for
-the dense diagnostics (kernel solve, spectrum, resolvent and semigroup
-norms) and for tests.
+two transport neighbours and its reaction partner).  The kernel solve,
+the time stepper and every matrix-vector product use it.  ``matrix`` is
+its dense copy, built on first read for the dense diagnostics
+(spectrum, resolvent and semigroup norms) and for tests.
 
 The canonical discrete steady state is the matrix's own null vector, not
 the sampled ODE solution.  Because every column of the matrix ``A`` sums
-to zero, the bordered matrix ``[[A, 1], [1^T, 0]]`` is nonsingular
-exactly when the kernel of ``A`` is one-dimensional (Keller 1977), so one
-LU factorisation of it yields both the null vector and, through its
-reciprocal condition estimate, the test that the kernel is simple.  The
-ODE solution from :mod:`twospeed.steady_state` serves as an O(h)
+to zero, the bordered matrix ``[[A, u], [u^T, 0]]`` with
+``u = 1 / sqrt(2n)`` is nonsingular exactly when the kernel of ``A`` is
+one-dimensional (Keller 1977).  One sparse LU of it yields the null
+vector and, by inverse Lanczos, the smallest singular value ``s`` of
+``A`` on the complement of ``u`` (:func:`bordered_sigma_min`); the
+kernel counts as simple when ``s >= rank_tol * (max |b| + max sigma)``.
+The ODE solution from :mod:`twospeed.steady_state` serves as an O(h)
 cross-validation oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -46,14 +49,20 @@ import scipy.sparse.linalg
 from .errors import (
     DefectiveGeneratorError,
     InvalidCrossSectionError,
+    NumericalError,
     PositivityError,
     ShapeError,
 )
 from .fields import DEGENERACY_FLOOR, FieldSpec, evaluate
 from .space import StateVector, WeightedSpace
 
-#: Relative tolerance deciding what counts as the null space.
+#: Relative tolerance of the null space: the kernel is simple when the
+#: bordered ``sigma_min`` is at least ``RANK_TOL * (max |b| + max sigma)``.
 RANK_TOL = 1e-8
+
+#: Relative Lanczos tolerance of :func:`bordered_sigma_min`, far below
+#: ``RANK_TOL`` so that no tolerance decision made on its result moves.
+LANCZOS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,18 +94,21 @@ class GeneratorMatrix:
     averages as a CSC sparse array with at most four stored entries per
     column; matrix-vector products and time stepping use it.  ``matrix``
     is the same operator as a dense array (``operator.toarray()``) for
-    the dense diagnostics.  ``steady`` is the positive null vector
-    normalised to discrete total mass one, and the metric weights are
-    the entrywise reciprocals of ``steady``.
+    the dense diagnostics, built on first read and kept.  ``steady`` is
+    the positive null vector normalised to discrete total mass one, and
+    the metric weights are the entrywise reciprocals of ``steady``.
     """
 
     grid: Grid
-    matrix: np.ndarray
     operator: scipy.sparse.csc_array
     face_b1: np.ndarray
     face_b2: np.ndarray
     sigma_cells: np.ndarray
     steady: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.operator.toarray()
 
     @property
     def size(self) -> int:
@@ -155,6 +167,50 @@ def _upwind_columns(faces: np.ndarray, h: float):
     return (bm[:n] - bp[1:]) / h, bp[1:] / h, -bm[:n] / h
 
 
+def bordered_sigma_min(operator: scipy.sparse.sparray, u: np.ndarray):
+    """``lam -> (lu, s)``: sparse LU of ``B = [[operator - i lam I, u], [u^T, 0]]`` and its ``s``.
+
+    For a unit ``u`` with ``u^T operator = 0``, ``B [y; t] = [x; 0]``
+    gives ``t = u^T x``, ``u^T y = 0`` and ``P (operator - i lam) y = P x``
+    with ``P = I - u u^T``, so ``1 / s^2``, ``s`` the smallest singular
+    value of ``operator - i lam`` compressed to the complement of ``u``,
+    is the top eigenvalue of ``B^{-H} B^{-1}`` on the first ``m``
+    coordinates.  ARPACK's Lanczos (``eigsh``) finds it from a fixed
+    start vector, a seeded draw with ``u`` projected out.  ``B(0)`` is
+    bordered once; each ``lam`` costs one shift, one ``splu`` and one run.
+
+    The returned function gives ``(None, 0.0)`` if ``B`` is exactly
+    singular and raises :class:`NumericalError` when ARPACK fails.
+    """
+    m = operator.shape[0]
+    bordered = scipy.sparse.block_array([[operator, u[:, None]], [u[None, :], None]], format="csc")
+    shift = scipy.sparse.diags_array(np.append(np.ones(m), 0.0), format="csc")
+    v0 = np.random.default_rng(0).standard_normal(m)
+    v0 -= u * (u @ v0)
+
+    def at(lam: float):
+        shifted = bordered - 1j * lam * shift if lam else bordered
+        try:
+            lu = scipy.sparse.linalg.splu(shifted)
+        except RuntimeError:  # "Factor is exactly singular"
+            return None, 0.0
+
+        def normal_inverse(x: np.ndarray) -> np.ndarray:
+            y = lu.solve(np.append(x.ravel(), 0.0))[:m]
+            return lu.solve(np.append(y, 0.0), trans="H")[:m]
+
+        op = scipy.sparse.linalg.LinearOperator((m, m), matvec=normal_inverse, dtype=shifted.dtype)
+        try:
+            top = scipy.sparse.linalg.eigsh(
+                op, k=1, which="LA", tol=LANCZOS_TOL, v0=v0, return_eigenvectors=False
+            )[0]
+        except scipy.sparse.linalg.ArpackError as exc:
+            raise NumericalError(f"inverse Lanczos failed at lambda = {lam}: {exc}") from exc
+        return lu, float(1.0 / np.sqrt(top))
+
+    return at
+
+
 def assemble(
     b1: FieldSpec,
     b2: FieldSpec,
@@ -175,10 +231,13 @@ def assemble(
     InvalidCrossSectionError
         If ``sigma`` is negative beyond ``floor`` at a cell center.
     DefectiveGeneratorError
-        If the 1-norm reciprocal condition estimate of the bordered
-        matrix ``[[A, 1], [1^T, 0]]`` is below ``rank_tol`` (the kernel
-        is not simple to tolerance), or if the null vector's residual
-        exceeds ``rank_tol`` relative to the operator scale.
+        If the bordered matrix ``[[A, u], [u^T, 0]]`` is exactly singular
+        or its ``sigma_min`` (see :func:`bordered_sigma_min`) is below
+        ``rank_tol * (max |b| + max sigma)``, so the kernel is not simple
+        to tolerance, or if the null vector's residual exceeds
+        ``rank_tol`` relative to the operator scale.
+    NumericalError
+        If the inverse Lanczos run for that ``sigma_min`` fails.
     PositivityError
         If the null vector is not entrywise positive.
     """
@@ -210,26 +269,14 @@ def assemble(
     # Upwinding leaves one transport neighbour at zero wherever the speed
     # has one sign; storing only true non-zeros keeps the LU fill small.
     operator.eliminate_zeros()
-    matrix = operator.toarray()
 
-    # Fortran order lets LAPACK factor the bordered matrix in place.
-    # ``dgetrf`` rather than ``lu_factor``: the latter warns on the exact
-    # zero pivot of ``sigma == 0`` before the condition test rejects it,
-    # and ``not >=`` rejects a NaN estimate as well.
-    bordered = np.zeros((m + 1, m + 1), order="F")
-    bordered[:m, :m] = matrix
-    bordered[:m, m] = 1.0
-    bordered[m, :m] = 1.0
-    anorm = scipy.linalg.lapack.dlange("1", bordered)
-    lu, piv, _ = scipy.linalg.lapack.dgetrf(bordered, overwrite_a=True)
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm)
-    if not rcond >= rank_tol:
+    lu, s = bordered_sigma_min(operator, np.full(m, 1.0 / np.sqrt(m)))(0.0)
+    threshold = rank_tol * (max(np.abs(f1).max(), np.abs(f2).max()) + sg.max())
+    if not s >= threshold:
         raise DefectiveGeneratorError(
-            f"kernel is not simple: bordered reciprocal condition {rcond:.3e} < {rank_tol:.1e}"
+            f"kernel is not simple: bordered sigma_min {s:.3e} < {threshold:.3e}"
         )
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    vec = scipy.linalg.lu_solve((lu, piv), rhs)[:m]
+    vec = lu.solve(np.append(np.zeros(m), 1.0))[:m]
 
     scale = scipy.sparse.linalg.norm(operator, np.inf)
     tol_abs = rank_tol * max(scale, 1.0) * max(np.abs(vec).max(), 1e-300)
@@ -242,7 +289,7 @@ def assemble(
         raise PositivityError(f"discrete steady state is not positive: min = {vec.min():.3e}")
     vec = vec / (grid.h * vec.sum())
 
-    return GeneratorMatrix(grid, matrix, operator, f1, f2, sg, vec)
+    return GeneratorMatrix(grid, operator, f1, f2, sg, vec)
 
 
 def apply(gen: GeneratorMatrix, p: StateVector) -> StateVector:

@@ -33,20 +33,15 @@ bound on all of R.
 matrix side ``2n`` (:data:`SPARSE_SIGMA_MIN_SIDE`).  Small matrices take
 the last singular value of the dense ``S0 - i lambda``.  Large ones work
 on ``S`` itself, which keeps the generator's at most four non-zeros per
-column.  Because ``S z0 = 0`` and ``z0^T S = 0``, the sparse bordered
-matrix
+column: since ``z0^T S = 0``, one sparse LU of the bordered matrix
 
-    B(lambda) = [[S - i lambda I, z0], [z0^T, 0]]
+    B(lambda) = [[S - i lambda I, z0], [z0^T, 0]],
 
-solves ``B(lambda) [y; t] = [x; 0]`` with ``t = z0^T x`` and
-``y = (S0 - i lambda)^{-1} (I - z0 z0^T) x`` on the mean-zero subspace.
-It is nonsingular exactly when ``S0 - i lambda`` is, also at
-``lambda = 0`` where ``S - i lambda`` itself is singular.  One sparse LU
-of ``B(lambda)`` then gives ``sigma_min(S0 - i lambda)`` as ``1/sqrt``
-of the top eigenvalue of ``B^{-H} B^{-1}`` restricted to the first
-``2n`` coordinates, found by inverse Lanczos from a fixed start vector
-(the sparse-LU route of pseudospectra codes: Trefethen, Acta Numerica
-1999; Wright & Trefethen, EigTool, 2002).
+nonsingular exactly when ``S0 - i lambda`` is (also at ``lambda = 0``),
+and inverse Lanczos give ``sigma_min(S0 - i lambda)`` (the sparse-LU
+route of pseudospectra codes: Trefethen, Acta Numerica 1999; Wright &
+Trefethen, EigTool, 2002), in :func:`twospeed.generator.bordered_sigma_min`,
+which ``assemble`` also runs on ``A`` for its kernel verdict.
 
 A positive gap ``psi`` feeds the semigroup bound
 
@@ -65,16 +60,12 @@ from math import pi
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigurationError, NumericalError
-from .generator import GeneratorMatrix, symmetrized
+from .generator import RANK_TOL, GeneratorMatrix, bordered_sigma_min, symmetrized
 
 #: Hard cap on the dense eigen/SVD problem size (matrix side 2n).
 DENSE_CAP = 4096
-
-#: Relative tolerance for the zero mode, the imaginary axis and the gap level.
-RANK_TOL = 1e-8
 
 #: Defaults: coarse sweep resolution and the cap on level-set iterations.
 COARSE_POINTS = 512
@@ -92,10 +83,6 @@ REFINE_DEPTH = 40
 #: The routes cross near n = 80; the sparse route starts at n = 96, so
 #: small grids keep the cheaper dense SVD.
 SPARSE_SIGMA_MIN_SIDE = 192
-
-#: Relative Lanczos tolerance, far below ``RANK_TOL`` so that each
-#: ``sigma_min < gamma`` decision of the level-set iteration is unchanged.
-LANCZOS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -163,47 +150,16 @@ def restricted_operator(gen: GeneratorMatrix) -> np.ndarray:
 
 
 def sparse_sigma_min(gen: GeneratorMatrix):
-    """The function ``lambda -> sigma_min(S0 - i lambda)`` on the sparse route.
-
-    Each call factors the bordered matrix ``B(lambda)`` of the module
-    docstring with one sparse LU and runs ARPACK (``eigsh``, which for
-    this complex Hermitian operator runs the Arnoldi iteration, i.e.
-    Lanczos) on ``B^{-H} B^{-1}`` from a fixed start vector (a seeded
-    draw with ``z0`` projected out), so repeated calls give identical
-    values.
-    """
-    m = gen.size
+    """``lambda -> sigma_min(S0 - i lambda)`` from ``bordered_sigma_min`` of ``B(lambda)``."""
     d = np.sqrt(gen.steady)
     s = scipy.sparse.diags_array(1.0 / d) @ gen.operator @ scipy.sparse.diags_array(d)
-    z0 = np.sqrt(gen.grid.h * gen.steady)
-    z0 = z0 / np.linalg.norm(z0)
-    bordered = scipy.sparse.block_array(
-        [[s, z0[:, None]], [z0[None, :], None]], format="csc", dtype=complex
-    )
-    shift = scipy.sparse.diags_array(np.append(np.ones(m), 0.0), format="csc", dtype=complex)
-    v0 = np.random.default_rng(0).standard_normal(m)
-    v0 -= z0 * (z0 @ v0)
+    at = bordered_sigma_min(s, d / np.linalg.norm(d))
 
     def sig_min(lam: float) -> float:
-        try:
-            lu = scipy.sparse.linalg.splu(bordered - 1j * lam * shift)
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            raise NumericalError(f"sparse LU failed at lambda = {lam}: {exc}") from exc
-        pad = np.zeros(m + 1, dtype=complex)
-
-        def normal_inverse(x: np.ndarray) -> np.ndarray:
-            pad[:m] = x.ravel()
-            pad[:m] = lu.solve(pad)[:m]
-            return lu.solve(pad, trans="H")[:m]
-
-        op = scipy.sparse.linalg.LinearOperator((m, m), matvec=normal_inverse, dtype=complex)
-        try:
-            top = scipy.sparse.linalg.eigsh(
-                op, k=1, which="LA", tol=LANCZOS_TOL, v0=v0, return_eigenvectors=False
-            )[0]
-        except scipy.sparse.linalg.ArpackError as exc:
-            raise NumericalError(f"inverse Lanczos failed at lambda = {lam}: {exc}") from exc
-        return float(1.0 / np.sqrt(top))
+        lu, value = at(lam)
+        if lu is None:
+            raise NumericalError(f"sparse LU is exactly singular at lambda = {lam}")
+        return value
 
     return sig_min
 
@@ -271,14 +227,10 @@ def psi_sweep(
     :class:`NumericalError`.
 
     Every ``sigma_min`` - coarse grid, rightmost-eigenvalue points,
-    crossings and midpoints - takes one route, chosen by the matrix
-    side: a dense SVD of ``S0 - i lambda`` below
-    :data:`SPARSE_SIGMA_MIN_SIDE` (n < 96), and otherwise
-    :func:`sparse_sigma_min`, one sparse LU of the bordered matrix and
-    inverse Lanczos (which also covers ``lambda = 0``, where
-    ``S - i lambda`` is singular).  The two agree to about 1e-14
-    relative.  The eigenvalues of ``S0`` and of ``H(gamma)`` are dense
-    solves on both routes.
+    crossings and midpoints - takes the route of the module docstring: a
+    dense SVD below :data:`SPARSE_SIGMA_MIN_SIDE` (n < 96), otherwise
+    :func:`sparse_sigma_min`.  The two agree to about 1e-14 relative.
+    The eigenvalues of ``S0`` and of ``H(gamma)`` are dense solves.
     """
     _check_cap(gen, dense_cap)
     if lambda_max == 0.0:

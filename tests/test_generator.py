@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import twospeed as ts
 from twospeed.errors import DefectiveGeneratorError, InvalidCrossSectionError, ShapeError
-from twospeed.generator import rayleigh_real_part
+from twospeed.generator import bordered_sigma_min, rayleigh_real_part
 
 
 def test_goldstein_taylor_column_sums_vanish_exactly(gen_gt_64):
@@ -157,6 +159,33 @@ def test_zero_cross_section_is_defective(b2, sigma, defective, n):
         gen = ts.assemble(b1, b2, ts.FieldSpec.constant(sigma), ts.Grid(n))
         assert gen.steady.min() > 0.0
         assert gen.grid.h * gen.steady.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+@pytest.mark.parametrize("sigma", [1e-3, 1.0])
+def test_kernel_sigma_min_is_twice_the_cross_section(gt_fields, sigma, n):
+    # On the GT fields the component imbalance (1, -1) decays at exactly
+    # 2 sigma, and no other mode orthogonal to the constants is closer to
+    # the kernel, on every grid.
+    b1, b2, _ = gt_fields
+    gen = ts.assemble(b1, b2, ts.FieldSpec.constant(sigma), ts.Grid(n))
+    lu, s = bordered_sigma_min(gen.operator, np.full(gen.size, 1.0 / np.sqrt(gen.size)))(0.0)
+    assert lu is not None
+    assert s == pytest.approx(2.0 * sigma, rel=1e-6)
+
+
+def test_assemble_allocates_no_dense_matrix(variant_fields):
+    # A dense 2048 x 2048 array is 33.6 MB; the sparse kernel verdict and
+    # steady-state solve need O(n), and the dense copy is built on demand.
+    tracemalloc.start()
+    try:
+        gen = ts.assemble(*variant_fields, ts.Grid(1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert "matrix" not in vars(gen)
+    assert np.array_equal(gen.matrix, gen.operator.toarray())
 
 
 def test_equal_speeds_sum_evolves_by_pure_transport():

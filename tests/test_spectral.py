@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import twospeed as ts
 from twospeed.errors import ConfigurationError, NumericalError
-from twospeed.generator import symmetrized
+from twospeed.generator import bordered_sigma_min, symmetrized
 from twospeed.spectral import (
     SPARSE_SIGMA_MIN_SIDE,
     default_lambda_max,
@@ -188,6 +188,11 @@ def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
     for lam in lams:
         dense = scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1]
         assert sig_min(lam) == pytest.approx(dense, rel=1e-12), f"lambda = {lam}"
+    # The kernel verdict: A itself compressed to the complement of the constants.
+    u = np.full(gen.size, 1.0 / np.sqrt(gen.size))
+    q = scipy.linalg.null_space(u[None, :])
+    dense = scipy.linalg.svdvals(q.T @ gen.matrix @ q)[-1]
+    assert bordered_sigma_min(gen.operator, u)(0.0)[1] == pytest.approx(dense, rel=1e-8)
 
 
 def test_sparse_psi_sweep_matches_dense_svd(gen_variant_128):
