@@ -176,8 +176,13 @@ def bordered_sigma_min(operator: scipy.sparse.sparray, u: np.ndarray):
     value of ``operator - i lam`` compressed to the complement of ``u``,
     is the top eigenvalue of ``B^{-H} B^{-1}`` on the first ``m``
     coordinates.  ARPACK's Lanczos (``eigsh``) finds it from a fixed
-    start vector, a seeded draw with ``u`` projected out.  ``B(0)`` is
-    bordered once; each ``lam`` costs one shift, one ``splu`` and one run.
+    start vector, a seeded draw with ``u`` projected out.  For
+    ``lam != 0`` that Hermitian operator runs in its real symmetric
+    ``2m x 2m`` form on stacked real and imaginary parts, which has the
+    same eigenvalues, each twice, and starts from ``[v0, 0]``; so ARPACK
+    runs real Lanczos, not the complex Arnoldi it would run on a
+    complex operator.  ``B(0)`` is bordered once; each ``lam`` costs one
+    shift, one ``splu`` and one run.
 
     The returned function gives ``(None, 0.0)`` if ``B`` is exactly
     singular and raises :class:`NumericalError` when ARPACK fails.
@@ -194,15 +199,27 @@ def bordered_sigma_min(operator: scipy.sparse.sparray, u: np.ndarray):
             lu = scipy.sparse.linalg.splu(shifted)
         except RuntimeError:  # "Factor is exactly singular"
             return None, 0.0
+        rhs = np.zeros(m + 1, dtype=shifted.dtype)  # the border entry stays 0
 
         def normal_inverse(x: np.ndarray) -> np.ndarray:
-            y = lu.solve(np.append(x.ravel(), 0.0))[:m]
-            return lu.solve(np.append(y, 0.0), trans="H")[:m]
+            rhs[:m] = x.ravel()
+            rhs[:m] = lu.solve(rhs)[:m]
+            return lu.solve(rhs, trans="H")[:m]
 
-        op = scipy.sparse.linalg.LinearOperator((m, m), matvec=normal_inverse, dtype=shifted.dtype)
+        if lam:
+            def matvec(x: np.ndarray) -> np.ndarray:
+                x = x.ravel()
+                y = normal_inverse(x[:m] + 1j * x[m:])
+                return np.concatenate([y.real, y.imag])
+
+            op = scipy.sparse.linalg.LinearOperator((2 * m, 2 * m), matvec=matvec, dtype=float)
+            start = np.append(v0, np.zeros(m))
+        else:
+            op = scipy.sparse.linalg.LinearOperator((m, m), matvec=normal_inverse, dtype=float)
+            start = v0
         try:
             top = scipy.sparse.linalg.eigsh(
-                op, k=1, which="LA", tol=LANCZOS_TOL, v0=v0, return_eigenvectors=False
+                op, k=1, which="LA", tol=LANCZOS_TOL, v0=start, return_eigenvectors=False
             )[0]
         except scipy.sparse.linalg.ArpackError as exc:
             raise NumericalError(f"inverse Lanczos failed at lambda = {lam}: {exc}") from exc

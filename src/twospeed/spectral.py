@@ -7,6 +7,11 @@ Euclidean geometry of ``S`` is the weighted geometry of ``A``, so
 singular values and operator norms computed below are the
 weighted-metric quantities.
 
+:func:`spectrum` asks LAPACK for the eigenvalues of the dense ``S`` only.
+It verifies a sample of them by their backward error, with vectors from
+one step of inverse iteration on the sparse ``S`` (at most four
+non-zeros per column), so no dense eigenvector matrix is formed.
+
 The mean-zero subspace is the orthogonal complement of the unit vector
 ``z0 = sqrt(h * v)``; it is invariant under ``S`` because the columns of
 the generator sum to zero.  Restricting to an orthonormal basis ``Q`` of
@@ -60,6 +65,7 @@ from math import pi
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import ConfigurationError, NumericalError
 from .generator import RANK_TOL, GeneratorMatrix, bordered_sigma_min, symmetrized
@@ -72,16 +78,17 @@ COARSE_POINTS = 512
 REFINE_DEPTH = 40
 
 #: Matrix side ``2n`` from which ``psi_sweep`` takes ``sigma_min`` from a
-#: sparse LU and inverse Lanczos instead of a dense SVD.  Mean cost per
-#: point over 32 points of the default coarse grid, variant fields, one
-#: BLAS thread on a 2-core x86-64 host:
+#: sparse LU and inverse Lanczos instead of a dense SVD.  Mean CPU time
+#: per point over 32 points of the default coarse grid, variant fields,
+#: one BLAS thread on a 2-core x86-64 host, with real Lanczos:
 #:
 #:     n       16    32    64    80    96    128   256
-#:     dense   0.2   0.6   3.4   6.4   8.8   16.2  140   ms
-#:     sparse  2.8   4.9   5.6   6.0   6.4   7.5   15    ms
+#:     dense   0.2   0.8   3.6   6.6   10.1  18.1  146   ms
+#:     sparse  3.0   4.1   5.2   5.3   6.3   7.5   14    ms
 #:
-#: The routes cross near n = 80; the sparse route starts at n = 96, so
-#: small grids keep the cheaper dense SVD.
+#: The routes cross between n = 64 and 80, as they did with complex
+#: Arnoldi; the sparse route starts at n = 96, so small grids keep the
+#: cheaper dense SVD.
 SPARSE_SIGMA_MIN_SIDE = 192
 
 
@@ -94,8 +101,9 @@ class SpectrumReport:
     ``x0_abscissa`` is the largest real part over all other eigenvalues,
     and ``nonneg_violations`` lists non-zero-mode eigenvalues whose real
     part exceeds the rank tolerance (empty for an admissible model).
-    ``zero_mode_vector`` is the corresponding eigenvector mapped back to
-    density coordinates, normalised to unit Euclidean length.
+    ``zero_mode_vector`` is the zero mode's eigenvector mapped back to
+    density coordinates, which is the discrete steady state, normalised
+    to unit Euclidean length.
     """
 
     eigenvalues: np.ndarray
@@ -149,11 +157,17 @@ def restricted_operator(gen: GeneratorMatrix) -> np.ndarray:
     return q.T @ symmetrized(gen) @ q
 
 
+def _sparse_similarity(gen: GeneratorMatrix) -> scipy.sparse.csc_array:
+    """The similarity transform ``S = D^{-1/2} A D^{1/2}`` as a CSC sparse array."""
+    d = np.sqrt(gen.steady)
+    s = scipy.sparse.diags_array(1.0 / d) @ gen.operator @ scipy.sparse.diags_array(d)
+    return scipy.sparse.csc_array(s)
+
+
 def sparse_sigma_min(gen: GeneratorMatrix):
     """``lambda -> sigma_min(S0 - i lambda)`` from ``bordered_sigma_min`` of ``B(lambda)``."""
     d = np.sqrt(gen.steady)
-    s = scipy.sparse.diags_array(1.0 / d) @ gen.operator @ scipy.sparse.diags_array(d)
-    at = bordered_sigma_min(s, d / np.linalg.norm(d))
+    at = bordered_sigma_min(_sparse_similarity(gen), d / np.linalg.norm(d))
 
     def sig_min(lam: float) -> float:
         lu, value = at(lam)
@@ -167,35 +181,53 @@ def sparse_sigma_min(gen: GeneratorMatrix):
 def spectrum(gen: GeneratorMatrix, dense_cap: int = DENSE_CAP, rank_tol: float = RANK_TOL) -> SpectrumReport:
     """All eigenvalues of the generator in the weighted space.
 
-    Eigenpairs come from a dense solve on the similarity transform; a
-    sample of the reported pairs is verified against the residual bound
-    ``||S u - mu u|| <= 1e-8 ||A||`` before the report is returned.
+    The eigenvalues come from a dense eigenvalue-only solve on the
+    similarity transform ``S``; no eigenvector matrix is formed.  Sixteen
+    of them, spread over the sorted spectrum, and the zero mode are
+    verified before the report is returned: each ``mu`` needs a unit
+    vector ``x`` with ``||S x - mu x||_inf <= 1e-8 ||A||``, the backward
+    error of the pair.  The zero mode's ``x`` is the exact
+    ``sqrt(steady)``, since ``A v = 0`` gives ``S sqrt(v) = 0``; every
+    other ``x`` is one step of inverse iteration from a seeded start
+    with a sparse LU of ``S - mu I``.  An exactly singular factor makes
+    ``mu`` an eigenvalue of ``S`` to working precision, so that ``mu``
+    passes.
     """
     _check_cap(gen, dense_cap)
-    s = symmetrized(gen)
     try:
-        vals, vecs = scipy.linalg.eig(s)
+        vals = scipy.linalg.eigvals(symmetrized(gen))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
 
-    scale = gen.operator_scale()
-    sample = np.linspace(0, len(vals) - 1, min(len(vals), 16)).astype(int)
-    resid = np.abs(s @ vecs[:, sample] - vecs[:, sample] * vals[sample]).max()
-    if resid > 1e-8 * max(scale, 1.0):
-        raise NumericalError(f"eigenpair residual {resid:.3e} exceeds 1e-8 * ||A||")
-
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals = vals[np.lexsort((vals.imag, vals.real))]
     zero_idx = int(np.argmin(np.abs(vals)))
+    scale = gen.operator_scale()
+
+    s = _sparse_similarity(gen)
+    eye = scipy.sparse.eye_array(len(vals), format="csc")
+    start = np.random.default_rng(0).standard_normal(len(vals)).astype(complex)
+    sample = np.linspace(0, len(vals) - 1, min(len(vals), 16)).astype(int)
+    residuals = []
+    for i in np.union1d(sample, [zero_idx]):
+        if i == zero_idx:
+            x = np.sqrt(gen.steady)
+        else:
+            try:
+                lu = scipy.sparse.linalg.splu(s - vals[i] * eye)
+            except RuntimeError:  # "Factor is exactly singular"
+                continue
+            x = lu.solve(start)
+        x = x / np.linalg.norm(x)
+        residuals.append(np.abs(s @ x - vals[i] * x).max())
+    resid = float(np.max(residuals))  # a NaN residual propagates and fails the check
+    if not resid <= 1e-8 * max(scale, 1.0):
+        raise NumericalError(f"eigenpair residual {resid:.3e} exceeds 1e-8 * ||A||")
 
     others = np.ones(len(vals), dtype=bool)
     others[zero_idx] = False
     abscissa = float(vals.real[others].max())
     violations = vals[others & (vals.real > rank_tol * max(scale, 1.0))]
-
-    zero_vec = np.sqrt(gen.steady) * vecs[:, zero_idx]
-    zero_vec = zero_vec / np.linalg.norm(zero_vec)
+    zero_vec = gen.steady / np.linalg.norm(gen.steady)
     return SpectrumReport(vals, zero_idx, abscissa, violations, zero_vec)
 
 

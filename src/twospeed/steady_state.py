@@ -114,21 +114,28 @@ def _rk4_sweep(mats: np.ndarray, y: np.ndarray, h: float, record_every: int = 0)
     """Advance ``y' = M(x) y`` over a half-step lattice of matrices.
 
     ``mats`` holds ``2*steps + 1`` coefficient matrices at spacing
-    ``h/2``.  With ``record_every = r > 0`` the state is recorded after
-    every ``r`` steps (plus the initial state) and the stacked record is
-    returned; otherwise only the final state is returned.
+    ``h/2``.  The system is linear, so classical RK4 step ``k`` is the
+    2x2 propagator ``P_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` with
+    ``K1 = M(x_k)``, ``K2 = M(x_k + h/2) (I + h/2 K1)``,
+    ``K3 = M(x_k + h/2) (I + h/2 K2)`` and ``K4 = M(x_k + h) (I + h K3)``.
+    All propagators are built by batched products over the stack, and
+    ``y`` then advances by one 2x2 product per step.  With
+    ``record_every = r > 0`` the state is recorded after every ``r``
+    steps (plus the initial state) and the stacked record is returned;
+    otherwise only the final state is returned.
     """
     steps = (len(mats) - 1) // 2
+    eye = np.eye(2)
+    k1, mid = mats[:-1:2], mats[1::2]
+    k2 = mid @ (eye + (0.5 * h) * k1)
+    k3 = mid @ (eye + (0.5 * h) * k2)
+    k4 = mats[2::2] @ (eye + h * k3)
+    props = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     if record_every:
         out = np.empty((steps // record_every + 1,) + y.shape)
         out[0] = y
     for k in range(steps):
-        i = 2 * k
-        k1 = mats[i] @ y
-        k2 = mats[i + 1] @ (y + (0.5 * h) * k1)
-        k3 = mats[i + 1] @ (y + (0.5 * h) * k2)
-        k4 = mats[i + 2] @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        y = props[k] @ y
         if record_every and (k + 1) % record_every == 0:
             out[(k + 1) // record_every] = y
     return out if record_every else y

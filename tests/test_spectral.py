@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twospeed as ts
+import twospeed.spectral
 from twospeed.errors import ConfigurationError, NumericalError
 from twospeed.generator import bordered_sigma_min, symmetrized
 from twospeed.spectral import (
@@ -33,6 +36,37 @@ def test_zero_mode_vector_aligned_with_steady(gen_gt_128):
     v = gen_gt_128.steady / np.linalg.norm(gen_gt_128.steady)
     cosine = np.abs(np.vdot(rep.zero_mode_vector, v))
     assert np.arccos(min(cosine, 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("fixture", ["gen_gt_64", "gen_variant_64"])
+def test_spectrum_rejects_a_wrong_eigenvalue(fixture, request, monkeypatch):
+    gen = request.getfixturevalue(fixture)
+    eigvals = scipy.linalg.eigvals
+    shift = 1e-3 * gen.operator_scale()
+
+    def one_shifted(a):
+        vals = eigvals(a)
+        # Moved further left, the leftmost eigenvalue stays first in the
+        # sorted spectrum, which the residual check always samples.
+        vals[np.argmin(vals.real)] -= shift
+        return vals
+
+    monkeypatch.setattr(twospeed.spectral.scipy.linalg, "eigvals", one_shifted)
+    with pytest.raises(NumericalError, match="eigenpair residual"):
+        ts.spectrum(gen)
+
+
+def test_spectrum_allocates_no_eigenvectors(variant_fields):
+    # A complex eigenvector matrix alone is 16 MB at n = 512; the dense
+    # operator and its similarity transform are 8 MB each.
+    gen = ts.assemble(*variant_fields, ts.Grid(512))
+    tracemalloc.start()
+    try:
+        ts.spectrum(gen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2**20
 
 
 def test_eigenvalues_follow_upwind_law(gen_gt_128):

@@ -3,7 +3,9 @@ import pytest
 
 import twospeed as ts
 from twospeed.errors import DegenerateFieldError, NonUniqueSteadyStateError
+from twospeed.fields import DEGENERACY_FLOOR
 from twospeed.quadrature import trapezoid_weights
+from twospeed.steady_state import DEFAULT_STEPS, _coupling_matrices, _rk4_sweep
 
 
 def test_fundamental_matrix_at_zero_is_identity(variant_fields):
@@ -26,6 +28,36 @@ def test_column_sums_are_conserved(variant_fields):
     for x in (0.1, 0.37, 0.83, 1.0):
         phi = ts.fundamental_matrix(*variant_fields, x, steps=512)
         assert np.abs(phi.sum(axis=0) - 1.0).max() < 1e-12
+
+
+def _stepwise_rk4_sweep(mats, y, h, record_every=0):
+    """Reference: classical RK4 stage by stage, one step at a time."""
+    steps = (len(mats) - 1) // 2
+    out = [y]
+    for k in range(steps):
+        i = 2 * k
+        k1 = mats[i] @ y
+        k2 = mats[i + 1] @ (y + (0.5 * h) * k1)
+        k3 = mats[i + 1] @ (y + (0.5 * h) * k2)
+        k4 = mats[i + 2] @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if record_every and (k + 1) % record_every == 0:
+            out.append(y)
+    return np.array(out) if record_every else y
+
+
+@pytest.mark.parametrize("fields", ["gt_fields", "variant_fields"])
+@pytest.mark.parametrize("record_every", [0, 1, 7])
+def test_rk4_propagators_match_stepwise_sweep(fields, record_every, request):
+    b1, b2, sigma = request.getfixturevalue(fields)
+    steps = DEFAULT_STEPS
+    lattice = np.linspace(0.0, 1.0, 2 * steps + 1)
+    mats = _coupling_matrices(b1, b2, sigma, lattice, DEGENERACY_FLOOR)
+    for y0 in (np.eye(2), np.array([0.3, 0.7])):
+        got = _rk4_sweep(mats, y0, 1.0 / steps, record_every)
+        want = _stepwise_rk4_sweep(mats, y0, 1.0 / steps, record_every)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_degenerate_field_raises():
