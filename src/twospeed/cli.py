@@ -175,7 +175,10 @@ def _field_from_node(node, path: str, base_dir: Path) -> FieldSpec:
 
 
 def _read_table(path: Path):
-    """Two-column CSV samples; only the first non-comment row may be a header."""
+    """Two-column CSV samples; only the first non-comment row may be a header.
+
+    Every row, the header too, must have exactly two cells.
+    """
     xs, vs = [], []
     first_row = True
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -183,8 +186,11 @@ def _read_table(path: Path):
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
-        if len(parts) < 2:
-            raise ConfigurationError(f"{path}, line {lineno}: expected two comma-separated columns")
+        if len(parts) != 2:
+            raise ConfigurationError(
+                f"{path}, line {lineno}: expected two comma-separated columns, "
+                f"got {len(parts)} in {line!r}"
+            )
         try:
             x, v = float(parts[0]), float(parts[1])
         except ValueError:

@@ -20,7 +20,10 @@ kinds:
 Evaluation is pure and deterministic: the same spec evaluated at the
 same coordinate returns the same value bit for bit.  Tabulated fields
 use shape-preserving cubics so that single-signed sample data cannot
-acquire spurious zeros through interpolation overshoot.
+acquire spurious zeros through interpolation overshoot.  The
+interpolation module (``scipy.interpolate``) is imported at the first
+evaluation of a tabulated field, so a process that uses only the
+closed-form kinds never loads it.
 
 The module also houses the admissibility checks used by every driver:
 both velocity fields must stay away from zero with a fixed sign and
@@ -37,7 +40,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, InvalidCrossSectionError
 
@@ -129,7 +131,12 @@ class FieldSpec:
 
 
 @functools.lru_cache(maxsize=128)
-def _interpolator(table: tuple) -> PchipInterpolator:
+def _interpolator(table: tuple):
+    # Imported here, not at module level: scipy.interpolate pulls in
+    # scipy.special and scipy.optimize, which only tabulated fields need
+    # (README, "Cost of start-up").
+    from scipy.interpolate import PchipInterpolator
+
     xs = np.asarray(table[0], dtype=float)
     vs = np.asarray(table[1], dtype=float)
     return PchipInterpolator(xs, vs, extrapolate=False)

@@ -91,7 +91,7 @@ def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting, old, ne
     assert setting in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", ["0.5,1O.0", "O.5,1O.0"])
+@pytest.mark.parametrize("row", ["0.5,1O.0", "O.5,1O.0", "0.5,1.0,9", "0.5"])
 def test_malformed_table_row_is_config_error(tmp_path, capsys, row):
     table = tmp_path / "sigma.csv"
     table.write_text(f"x,sigma\n0.0,1.0\n{row}\n1.0,1.0\n")

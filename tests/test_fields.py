@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -169,3 +173,29 @@ def test_disjoint_witnesses_fail():
     rep = ts.validate_cross_section_overlap(b1, b2, sigma)
     assert not rep.passed
     assert "simultaneously" in rep.detail
+
+
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+import twospeed, twospeed.cli
+loaded = [m for m in ("scipy.interpolate", "scipy.special", "scipy.optimize") if m in sys.modules]
+assert not loaded, loaded
+xs, vs = [0.0, 0.3, 1.0], [1.0, 2.0, 0.5]
+pts = np.array([0.0, 0.1, 0.3, 0.65, 1.0])
+got = twospeed.FieldSpec.tabulated(xs, vs)(pts)
+assert "scipy.interpolate" in sys.modules
+from scipy.interpolate import PchipInterpolator
+want = PchipInterpolator(np.array(xs), np.array(vs), extrapolate=False)(pts)
+assert np.array_equal(got, want), (got, want)
+"""
+
+
+def test_import_loads_no_interpolation():
+    # A fresh interpreter: this process has scipy.interpolate loaded
+    # through other tests already.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

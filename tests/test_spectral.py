@@ -229,6 +229,42 @@ def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
     assert bordered_sigma_min(gen.operator, u)(0.0)[1] == pytest.approx(dense, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "b1, trig, sigma",
+    [
+        (
+            1.122001169498152,
+            (-0.8768236841054025, 0.3545976683126426, -0.08567944796474336),
+            0.5539307023816564,
+        ),
+        (
+            1.0047286498801027,
+            (-0.819814521469626, 0.24324788381589013, 0.17945977885489756),
+            0.8118314520104855,
+        ),
+    ],
+    ids=["draw0", "draw1"],
+)
+def test_sparse_sigma_min_is_independent_of_earlier_points(b1, trig, sigma):
+    # A Lanczos run started from the previous point's vector can settle on
+    # an eigenvalue other than the top one and overestimate sigma_min by
+    # 1e-2 relative, which would let psi_hat exceed the true resolvent gap.
+    # n = 96 is the first size psi_sweep sends through the sparse route.
+    gen = ts.assemble(
+        ts.FieldSpec.constant(b1),
+        ts.FieldSpec.trigonometric(*trig),
+        ts.FieldSpec.constant(sigma),
+        ts.Grid(96),
+    )
+    assert gen.size == SPARSE_SIGMA_MIN_SIDE
+    s0 = restricted_operator(gen)
+    eye = np.eye(s0.shape[0])
+    sig_min = sparse_sigma_min(gen)
+    for lam in np.linspace(0.0, default_lambda_max(gen), 128):
+        dense = scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1]
+        assert sig_min(lam) == pytest.approx(dense, rel=1e-12), f"lambda = {lam}"
+
+
 def test_sparse_psi_sweep_matches_dense_svd(gen_variant_128):
     assert gen_variant_128.size >= SPARSE_SIGMA_MIN_SIDE
     est = ts.psi_sweep(gen_variant_128, coarse_points=128, refine_depth=30)
