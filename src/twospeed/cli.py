@@ -21,7 +21,7 @@ Exit codes: 0 success, 1 configuration error, 2 admissibility failure
 (unless ``--allow-degenerate``), 3 numerical error from a module,
 4 consistency-check failure in ``report``.
 
-Identical configuration and seed produce byte-identical outputs; every
+Identical configuration produces byte-identical outputs; every
 artifact carries the configuration hash, grid size and package version
 in its leading comment line.
 """
@@ -42,13 +42,14 @@ import yaml
 from . import __version__
 from .errors import ConfigurationError, TwoSpeedError
 from .fields import FieldSpec, validate_cross_section_overlap, validate_transport_fields
-from .generator import Grid, assemble, dissipativity_check, hermitian_abscissa
+from .generator import Grid, assemble, hermitian_abscissa
 from .evolution import (
     component_imbalance,
     entropy_identity_residual,
     estimate_decay,
     evolve,
     steady_plus_mode,
+    step_count,
 )
 from .space import StateVector
 from .spectral import (
@@ -277,6 +278,19 @@ def load_config(path, out_override=None) -> RunConfig:
     snapshot_every = _get_number(ev, "snapshot_every", "evolve", default=0, integer=True)
     if snapshot_every < 0:
         raise _fail("evolve.snapshot_every", f"must be non-negative, got {snapshot_every!r}")
+    evolve_T = _get_number(ev, "T", "evolve", default=10.0, positive=True)
+    evolve_dt = _get_number(ev, "dt", "evolve", default=1e-3, positive=True)
+    observe_every = _get_number(ev, "observe_every", "evolve", default=10, positive=True, integer=True)
+    if not math.isfinite(evolve_T / evolve_dt):
+        raise _fail("evolve.dt", f"T/dt overflows, got dt = {evolve_dt!r}")
+    # evolve records every observe_every-th step and the last one; the
+    # entropy identity needs those times uniform and at least three.
+    steps = step_count(evolve_T, evolve_dt)
+    if steps % observe_every or steps // observe_every < 2:
+        raise _fail(
+            "evolve.observe_every",
+            f"must divide the {steps} steps of T/dt into at least two intervals, got {observe_every}",
+        )
 
     sp = _get_map(tree.get("spectral"), "spectral")
     _check_keys(sp, {"lambda_max", "coarse_points", "refine_depth", "t_grid"}, "spectral")
@@ -312,10 +326,10 @@ def load_config(path, out_override=None) -> RunConfig:
         b2=b2,
         sigma=sigma,
         n=n,
-        evolve_T=_get_number(ev, "T", "evolve", default=10.0, positive=True),
-        evolve_dt=_get_number(ev, "dt", "evolve", default=1e-3, positive=True),
+        evolve_T=evolve_T,
+        evolve_dt=evolve_dt,
         scheme=scheme,
-        observe_every=_get_number(ev, "observe_every", "evolve", default=10, positive=True, integer=True),
+        observe_every=observe_every,
         snapshot_every=snapshot_every,
         initial=_parse_initial(ev.get("initial"), "evolve.initial", base_dir),
         lambda_max=_get_number(sp, "lambda_max", "spectral", default=0.0),
@@ -626,10 +640,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
             "velocities": _report_dict(rep1),
             "cross_section_overlap": _report_dict(rep2),
         },
-        "generator": {
-            "dissipativity_max_rayleigh": dissipativity_check(gen, 200, args.seed),
-            "hermitian_abscissa": hermitian_abscissa(gen),
-        },
+        "generator": {"hermitian_abscissa": hermitian_abscissa(gen)},
         **sections,
         # The evolve section, split into the decay fit and the entropy bookkeeping.
         "decay": {key: evolved[key] for key in ("alpha_hat", "prefactor", "window", "fit_residual")},
@@ -663,7 +674,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the YAML run configuration")
     common.add_argument("--out", default=None, help="override the output directory")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomised diagnostics")
     common.add_argument(
         "--allow-degenerate",
         action="store_true",

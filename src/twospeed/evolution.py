@@ -50,8 +50,12 @@ from .space import StateVector
 
 SCHEMES = ("implicit-trapezoid", "explicit-rk4")
 
-#: Default CFL number for the explicit scheme.
+#: CFL number of the explicit scheme.
 CFL_DEFAULT = 0.9
+
+#: Share of the usable observation times, at the end of the record,
+#: that :func:`estimate_decay` fits.
+WINDOW_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,11 @@ def _observe(gen: GeneratorMatrix, stacked: np.ndarray):
     return mass, dev * dev, diss, dev
 
 
+def step_count(T: float, dt: float) -> int:
+    """Number of steps :func:`evolve` takes to reach ``T``: ``round(T / dt)``, at least one."""
+    return max(1, int(round(T / dt)))
+
+
 def evolve(
     gen: GeneratorMatrix,
     p0: StateVector,
@@ -123,7 +132,6 @@ def evolve(
     scheme: str = "implicit-trapezoid",
     observe_every: int = 1,
     snapshot_every: int = 0,
-    cfl: float = CFL_DEFAULT,
 ) -> TimeSeries:
     """Advance ``p0`` to time ``T`` and record the observers.
 
@@ -154,11 +162,11 @@ def evolve(
     n = gen.grid.n
     if len(p0.p1) != n:
         raise ShapeError("initial state does not live on the generator's cell grid")
-    nsteps = max(1, int(round(T / dt)))
+    nsteps = step_count(T, dt)
 
     op = gen.operator
     if scheme == "explicit-rk4":
-        limit = cfl * gen.grid.h / gen.max_speed()
+        limit = CFL_DEFAULT * gen.grid.h / gen.max_speed()
         if dt > limit:
             raise ConfigurationError(
                 f"explicit scheme violates the CFL bound: dt = {dt:.3e} > {limit:.3e}"
@@ -248,16 +256,14 @@ def entropy_identity_residual(series: TimeSeries) -> float:
     return float(defect.max() / scale)
 
 
-def estimate_decay(series: TimeSeries, window_fraction: float = 0.5) -> DecayEstimate:
+def estimate_decay(series: TimeSeries) -> DecayEstimate:
     """Fit ``deviation(t) ~ C * dev(0) * exp(-alpha t)`` on a trailing window.
 
     Times where the deviation has decayed below ``100 * eps`` times its
     initial value are unusable (pure rounding noise); the fit uses the
-    trailing ``window_fraction`` of the usable times and needs at least
+    trailing ``WINDOW_FRACTION`` of the usable times and needs at least
     four of them.
     """
-    if not 0.0 < window_fraction < 1.0:
-        raise ValueError("window_fraction must lie in (0, 1)")
     dev0 = series.deviation[0]
     if dev0 <= 0.0:
         raise InsufficientDataError("initial deviation is zero; nothing to fit")
@@ -265,7 +271,7 @@ def estimate_decay(series: TimeSeries, window_fraction: float = 0.5) -> DecayEst
     usable = (series.deviation > floor) & (series.deviation > 0.0)
     t = series.times[usable]
     d = series.deviation[usable]
-    count = int(np.ceil(window_fraction * len(t)))
+    count = int(np.ceil(WINDOW_FRACTION * len(t)))
     if count < 4:
         raise InsufficientDataError(
             f"only {count} usable observation times in the fit window (need 4)"

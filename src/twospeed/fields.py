@@ -206,26 +206,21 @@ class ValidationReport:
     detail: str
 
 
-def _sign_class(values: np.ndarray, floor: float) -> int:
-    if np.all(values > floor):
+def _sign_class(values: np.ndarray) -> int:
+    if np.all(values > DEGENERACY_FLOOR):
         return 1
-    if np.all(values < -floor):
+    if np.all(values < -DEGENERACY_FLOOR):
         return -1
     return 0
 
 
-def validate_transport_fields(
-    b1: FieldSpec,
-    b2: FieldSpec,
-    samples: int = DEFAULT_SAMPLES,
-    floor: float = DEGENERACY_FLOOR,
-) -> ValidationReport:
+def validate_transport_fields(b1: FieldSpec, b2: FieldSpec, samples: int = DEFAULT_SAMPLES) -> ValidationReport:
     """Check that both velocity fields are non-degenerate and distinct.
 
     Passes iff, over a uniform grid of ``samples`` points, each field is
-    single-signed with ``min |b_i|`` above ``floor`` and the two fields
-    differ by more than ``floor`` somewhere.  Failure is reported, not
-    raised.
+    single-signed with ``min |b_i|`` above ``DEGENERACY_FLOOR`` and the
+    two fields differ by more than ``DEGENERACY_FLOOR`` somewhere.
+    Failure is reported, not raised.
     """
     if samples < 2:
         raise ValueError("need at least two sample points")
@@ -233,24 +228,24 @@ def validate_transport_fields(
     v1 = np.asarray(evaluate(b1, xs))
     v2 = np.asarray(evaluate(b2, xs))
 
-    s1 = _sign_class(v1, floor)
-    s2 = _sign_class(v2, floor)
+    s1 = _sign_class(v1)
+    s2 = _sign_class(v2)
     min_abs = float(min(np.abs(v1).min(), np.abs(v2).min()))
     diff = np.abs(v1 - v2)
     iw = int(np.argmax(diff))
     max_diff = float(diff[iw])
 
     problems = []
-    if s1 == 0 or s2 == 0 or min_abs <= floor:
-        problems.append(f"degenerate velocity: min |b_i| = {min_abs:.3e} (floor {floor:.1e})")
-    if max_diff <= floor:
+    if s1 == 0 or s2 == 0 or min_abs <= DEGENERACY_FLOOR:
+        problems.append(f"degenerate velocity: min |b_i| = {min_abs:.3e} (floor {DEGENERACY_FLOOR:.1e})")
+    if max_diff <= DEGENERACY_FLOOR:
         problems.append(f"indistinguishable fields: max |b1 - b2| = {max_diff:.3e}")
 
     passed = not problems
     if passed:
         detail = (
             f"min |b_i| = {min_abs:.6e}, max |b1 - b2| = {max_diff:.6e} at x = {xs[iw]:.6f} "
-            f"(floor {floor:.1e}, {samples} samples)"
+            f"(floor {DEGENERACY_FLOOR:.1e}, {samples} samples)"
         )
     else:
         detail = "; ".join(problems) + f" ({samples} samples)"
@@ -258,50 +253,43 @@ def validate_transport_fields(
     return ValidationReport(passed, min_abs, sign, float(xs[iw]), detail)
 
 
-def validate_cross_section_overlap(
-    b1: FieldSpec,
-    b2: FieldSpec,
-    sigma: FieldSpec,
-    samples: int = DEFAULT_SAMPLES,
-    floor: float = DEGENERACY_FLOOR,
-) -> ValidationReport:
+def validate_cross_section_overlap(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec) -> ValidationReport:
     """Check admissibility with a variable reaction cross-section.
 
-    Passes iff both velocities are non-degenerate and single-signed, the
-    cross-section is non-negative on the grid, and the product
-    ``|b1 - b2| * sigma`` exceeds ``floor`` at some common sample point,
-    i.e. the fields are distinguishable *where collisions happen*.
+    Passes iff, over a uniform grid of ``DEFAULT_SAMPLES`` points, both
+    velocities are non-degenerate and single-signed, the cross-section
+    is non-negative, and the product ``|b1 - b2| * sigma`` exceeds
+    ``DEGENERACY_FLOOR`` at some common sample point, i.e. the fields
+    are distinguishable *where collisions happen*.
 
     Raises
     ------
     InvalidCrossSectionError
-        If ``sigma`` falls below ``-floor`` at any sample.
+        If ``sigma`` falls below ``-DEGENERACY_FLOOR`` at any sample.
     """
-    if samples < 2:
-        raise ValueError("need at least two sample points")
-    xs = np.linspace(0.0, 1.0, samples)
+    xs = np.linspace(0.0, 1.0, DEFAULT_SAMPLES)
     v1 = np.asarray(evaluate(b1, xs))
     v2 = np.asarray(evaluate(b2, xs))
     sg = np.asarray(evaluate(sigma, xs))
 
-    if sg.min() < -floor:
+    if sg.min() < -DEGENERACY_FLOOR:
         ix = int(np.argmin(sg))
         raise InvalidCrossSectionError(
             f"cross-section is negative: sigma({xs[ix]:.6f}) = {sg[ix]:.3e}"
         )
     sg = np.maximum(sg, 0.0)
 
-    s1 = _sign_class(v1, floor)
-    s2 = _sign_class(v2, floor)
+    s1 = _sign_class(v1)
+    s2 = _sign_class(v2)
     min_abs = float(min(np.abs(v1).min(), np.abs(v2).min()))
     product = np.abs(v1 - v2) * sg
     iw = int(np.argmax(product))
     max_product = float(product[iw])
 
     problems = []
-    if s1 == 0 or s2 == 0 or min_abs <= floor:
-        problems.append(f"degenerate velocity: min |b_i| = {min_abs:.3e} (floor {floor:.1e})")
-    if max_product <= floor:
+    if s1 == 0 or s2 == 0 or min_abs <= DEGENERACY_FLOOR:
+        problems.append(f"degenerate velocity: min |b_i| = {min_abs:.3e} (floor {DEGENERACY_FLOOR:.1e})")
+    if max_product <= DEGENERACY_FLOOR:
         problems.append(
             "velocity difference and cross-section are never simultaneously non-zero: "
             f"max |b1 - b2|*sigma = {max_product:.3e}"
@@ -311,9 +299,9 @@ def validate_cross_section_overlap(
     if passed:
         detail = (
             f"min |b_i| = {min_abs:.6e}, max |b1 - b2|*sigma = {max_product:.6e} "
-            f"at x = {xs[iw]:.6f} (floor {floor:.1e}, {samples} samples)"
+            f"at x = {xs[iw]:.6f} (floor {DEGENERACY_FLOOR:.1e}, {DEFAULT_SAMPLES} samples)"
         )
     else:
-        detail = "; ".join(problems) + f" ({samples} samples)"
+        detail = "; ".join(problems) + f" ({DEFAULT_SAMPLES} samples)"
     sign = s1 if s1 == s2 else 0
     return ValidationReport(passed, min_abs, sign, float(xs[iw]), detail)

@@ -20,9 +20,12 @@ studies, not scheme order.
 The operator is assembled once, column by column, as a CSC sparse array
 ``operator`` with at most four stored entries per column (the cell, its
 two transport neighbours and its reaction partner).  The kernel solve,
-the time stepper and every matrix-vector product use it.  ``matrix`` is
-its dense copy, built on first read for the dense diagnostics
-(spectrum, resolvent and semigroup norms) and for tests.
+the time stepper and every matrix-vector product use it.  The weighted
+similarity transform ``S = D^{-1/2} A D^{1/2}`` on which every spectral
+stage works has one builder, :func:`sparse_symmetrized`, with the same
+sparsity; :func:`symmetrized` is its dense copy.  ``matrix``, the dense
+copy of ``A``, is built only when read (``--dump-matrix`` and tests); no
+stage of the pipeline reads it.
 
 The canonical discrete steady state is the matrix's own null vector, not
 the sampled ODE solution.  Because every column of the matrix ``A`` sums
@@ -31,7 +34,7 @@ to zero, the bordered matrix ``[[A, u], [u^T, 0]]`` with
 one-dimensional (Keller 1977).  One sparse LU of it yields the null
 vector and, by inverse Lanczos, the smallest singular value ``s`` of
 ``A`` on the complement of ``u`` (:func:`bordered_sigma_min`); the
-kernel counts as simple when ``s >= rank_tol * (max |b| + max sigma)``.
+kernel counts as simple when ``s >= RANK_TOL * (max |b| + max sigma)``.
 The ODE solution from :mod:`twospeed.steady_state` serves as an O(h)
 cross-validation oracle.
 """
@@ -93,10 +96,11 @@ class GeneratorMatrix:
     ``operator`` is the real ``2n x 2n`` generator on stacked cell
     averages as a CSC sparse array with at most four stored entries per
     column; matrix-vector products and time stepping use it.  ``matrix``
-    is the same operator as a dense array (``operator.toarray()``) for
-    the dense diagnostics, built on first read and kept.  ``steady`` is
-    the positive null vector normalised to discrete total mass one, and
-    the metric weights are the entrywise reciprocals of ``steady``.
+    is the same operator as a dense array (``operator.toarray()``),
+    built on first read and kept; no library function reads it.
+    ``steady`` is the positive null vector normalised to discrete total
+    mass one, and the metric weights are the entrywise reciprocals of
+    ``steady``.
     """
 
     grid: Grid
@@ -228,14 +232,7 @@ def bordered_sigma_min(operator: scipy.sparse.sparray, u: np.ndarray):
     return at
 
 
-def assemble(
-    b1: FieldSpec,
-    b2: FieldSpec,
-    sigma: FieldSpec,
-    grid: Grid,
-    floor: float = DEGENERACY_FLOOR,
-    rank_tol: float = RANK_TOL,
-) -> GeneratorMatrix:
+def assemble(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, grid: Grid) -> GeneratorMatrix:
     """Assemble the upwind generator and its discrete steady state.
 
     Admissibility of the velocity fields is not enforced here (the CLI
@@ -246,13 +243,13 @@ def assemble(
     Raises
     ------
     InvalidCrossSectionError
-        If ``sigma`` is negative beyond ``floor`` at a cell center.
+        If ``sigma`` is negative beyond ``DEGENERACY_FLOOR`` at a cell center.
     DefectiveGeneratorError
         If the bordered matrix ``[[A, u], [u^T, 0]]`` is exactly singular
         or its ``sigma_min`` (see :func:`bordered_sigma_min`) is below
-        ``rank_tol * (max |b| + max sigma)``, so the kernel is not simple
+        ``RANK_TOL * (max |b| + max sigma)``, so the kernel is not simple
         to tolerance, or if the null vector's residual exceeds
-        ``rank_tol`` relative to the operator scale.
+        ``RANK_TOL`` relative to the operator scale.
     NumericalError
         If the inverse Lanczos run for that ``sigma_min`` fails.
     PositivityError
@@ -263,7 +260,7 @@ def assemble(
     f1 = np.asarray(evaluate(b1, faces))
     f2 = np.asarray(evaluate(b2, faces))
     sg = np.asarray(evaluate(sigma, centers))
-    if sg.min() < -floor:
+    if sg.min() < -DEGENERACY_FLOOR:
         k = int(np.argmin(sg))
         raise InvalidCrossSectionError(
             f"cross-section is negative at cell center {centers[k]:.6f}: {sg[k]:.3e}"
@@ -288,7 +285,7 @@ def assemble(
     operator.eliminate_zeros()
 
     lu, s = bordered_sigma_min(operator, np.full(m, 1.0 / np.sqrt(m)))(0.0)
-    threshold = rank_tol * (max(np.abs(f1).max(), np.abs(f2).max()) + sg.max())
+    threshold = RANK_TOL * (max(np.abs(f1).max(), np.abs(f2).max()) + sg.max())
     if not s >= threshold:
         raise DefectiveGeneratorError(
             f"kernel is not simple: bordered sigma_min {s:.3e} < {threshold:.3e}"
@@ -296,7 +293,7 @@ def assemble(
     vec = lu.solve(np.append(np.zeros(m), 1.0))[:m]
 
     scale = scipy.sparse.linalg.norm(operator, np.inf)
-    tol_abs = rank_tol * max(scale, 1.0) * max(np.abs(vec).max(), 1e-300)
+    tol_abs = RANK_TOL * max(scale, 1.0) * max(np.abs(vec).max(), 1e-300)
     resid = np.abs(operator @ vec).max()
     if resid > tol_abs:
         raise DefectiveGeneratorError(
@@ -346,15 +343,26 @@ def dissipativity_check(gen: GeneratorMatrix, trials: int, seed: int) -> float:
     return float(worst)
 
 
-def symmetrized(gen: GeneratorMatrix) -> np.ndarray:
-    """Similarity transform ``D^{-1/2} A D^{1/2}`` with ``D = diag(steady)``.
+def sparse_symmetrized(gen: GeneratorMatrix) -> scipy.sparse.csc_array:
+    """Similarity transform ``S = D^{-1/2} A D^{1/2}`` with ``D = diag(steady)``.
 
     Shares the spectrum of the generator and turns the weighted metric
     into the Euclidean one, so symmetric-part eigenvalues and singular
-    values computed from it are the weighted-space quantities.
+    values computed from it are the weighted-space quantities.  A CSC
+    array with the sparsity of ``operator``: each stored ``a_ij``
+    becomes ``(a_ij / d_i) * d_j``, ``d = sqrt(steady)``, so the dense
+    and the sparse stages see the same entries bit for bit.
     """
+    a = gen.operator
     d = np.sqrt(gen.steady)
-    return (gen.matrix / d[:, None]) * d[None, :]
+    cols = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+    data = (a.data / d[a.indices]) * d[cols]
+    return scipy.sparse.csc_array((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
+
+
+def symmetrized(gen: GeneratorMatrix) -> np.ndarray:
+    """:func:`sparse_symmetrized` as a dense array."""
+    return sparse_symmetrized(gen).toarray()
 
 
 def hermitian_abscissa(gen: GeneratorMatrix) -> float:

@@ -5,17 +5,22 @@ All computations happen on the similarity transform
 steady state: ``S`` shares the spectrum of the generator and the
 Euclidean geometry of ``S`` is the weighted geometry of ``A``, so
 singular values and operator norms computed below are the
-weighted-metric quantities.
+weighted-metric quantities.  Every stage takes ``S`` from the one
+builder :func:`twospeed.generator.sparse_symmetrized` (at most four
+non-zeros per column), or from its dense copy
+:func:`twospeed.generator.symmetrized`; the two hold the same entries
+bit for bit.
 
 :func:`spectrum` asks LAPACK for the eigenvalues of the dense ``S`` only.
 It verifies a sample of them by their backward error, with vectors from
-one step of inverse iteration on the sparse ``S`` (at most four
-non-zeros per column), so no dense eigenvector matrix is formed.
+one step of inverse iteration on the sparse ``S``, so no dense
+eigenvector matrix is formed.
 
 The mean-zero subspace is the orthogonal complement of the unit vector
-``z0 = sqrt(h * v)``; it is invariant under ``S`` because the columns of
-the generator sum to zero.  Restricting to an orthonormal basis ``Q`` of
-that complement deflates the zero mode exactly, and with
+``z0 = sqrt(h * v)`` (:func:`mean_zero_direction`, the one ``z0`` of
+every stage); it is invariant under ``S`` because the columns of the
+generator sum to zero, and ``S z0 = 0``.  Restricting to an orthonormal
+basis ``Q`` of that complement deflates the zero mode exactly, and with
 ``S0 = Q^T S Q``
 
     sigma_min( S0 - i lambda )
@@ -68,7 +73,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, NumericalError
-from .generator import RANK_TOL, GeneratorMatrix, bordered_sigma_min, symmetrized
+from .generator import RANK_TOL, GeneratorMatrix, bordered_sigma_min, sparse_symmetrized, symmetrized
 
 #: Hard cap on the dense eigen/SVD problem size (matrix side 2n).
 DENSE_CAP = 4096
@@ -101,16 +106,12 @@ class SpectrumReport:
     ``x0_abscissa`` is the largest real part over all other eigenvalues,
     and ``nonneg_violations`` lists non-zero-mode eigenvalues whose real
     part exceeds the rank tolerance (empty for an admissible model).
-    ``zero_mode_vector`` is the zero mode's eigenvector mapped back to
-    density coordinates, which is the discrete steady state, normalised
-    to unit Euclidean length.
     """
 
     eigenvalues: np.ndarray
     zero_mode_index: int
     x0_abscissa: float
     nonneg_violations: np.ndarray
-    zero_mode_vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,15 +141,19 @@ class SemigroupBoundReport:
     passed: bool
 
 
-def _check_cap(gen: GeneratorMatrix, cap: int) -> None:
-    if gen.size > cap:
-        raise NumericalError(f"matrix side {gen.size} exceeds the dense solver cap {cap}")
+def _check_cap(gen: GeneratorMatrix) -> None:
+    if gen.size > DENSE_CAP:
+        raise NumericalError(f"matrix side {gen.size} exceeds the dense solver cap {DENSE_CAP}")
+
+
+def mean_zero_direction(gen: GeneratorMatrix) -> np.ndarray:
+    """The unit right and left null vector ``z0 = sqrt(h * steady)`` of ``S``."""
+    return np.sqrt(gen.grid.h * gen.steady)
 
 
 def mean_zero_basis(gen: GeneratorMatrix) -> np.ndarray:
     """Orthonormal basis (columns) of the mean-zero subspace."""
-    z0 = np.sqrt(gen.grid.h * gen.steady)
-    return scipy.linalg.null_space(z0[None, :])
+    return scipy.linalg.null_space(mean_zero_direction(gen)[None, :])
 
 
 def restricted_operator(gen: GeneratorMatrix) -> np.ndarray:
@@ -157,17 +162,9 @@ def restricted_operator(gen: GeneratorMatrix) -> np.ndarray:
     return q.T @ symmetrized(gen) @ q
 
 
-def _sparse_similarity(gen: GeneratorMatrix) -> scipy.sparse.csc_array:
-    """The similarity transform ``S = D^{-1/2} A D^{1/2}`` as a CSC sparse array."""
-    d = np.sqrt(gen.steady)
-    s = scipy.sparse.diags_array(1.0 / d) @ gen.operator @ scipy.sparse.diags_array(d)
-    return scipy.sparse.csc_array(s)
-
-
 def sparse_sigma_min(gen: GeneratorMatrix):
     """``lambda -> sigma_min(S0 - i lambda)`` from ``bordered_sigma_min`` of ``B(lambda)``."""
-    d = np.sqrt(gen.steady)
-    at = bordered_sigma_min(_sparse_similarity(gen), d / np.linalg.norm(d))
+    at = bordered_sigma_min(sparse_symmetrized(gen), mean_zero_direction(gen))
 
     def sig_min(lam: float) -> float:
         lu, value = at(lam)
@@ -178,7 +175,7 @@ def sparse_sigma_min(gen: GeneratorMatrix):
     return sig_min
 
 
-def spectrum(gen: GeneratorMatrix, dense_cap: int = DENSE_CAP, rank_tol: float = RANK_TOL) -> SpectrumReport:
+def spectrum(gen: GeneratorMatrix) -> SpectrumReport:
     """All eigenvalues of the generator in the weighted space.
 
     The eigenvalues come from a dense eigenvalue-only solve on the
@@ -186,16 +183,17 @@ def spectrum(gen: GeneratorMatrix, dense_cap: int = DENSE_CAP, rank_tol: float =
     of them, spread over the sorted spectrum, and the zero mode are
     verified before the report is returned: each ``mu`` needs a unit
     vector ``x`` with ``||S x - mu x||_inf <= 1e-8 ||A||``, the backward
-    error of the pair.  The zero mode's ``x`` is the exact
-    ``sqrt(steady)``, since ``A v = 0`` gives ``S sqrt(v) = 0``; every
-    other ``x`` is one step of inverse iteration from a seeded start
-    with a sparse LU of ``S - mu I``.  An exactly singular factor makes
+    error of the pair.  The zero mode's ``x`` is the exact null vector
+    ``z0`` of :func:`mean_zero_direction`; every other ``x`` is one step
+    of inverse iteration from a seeded start with a sparse LU of
+    ``S - mu I``.  An exactly singular factor makes
     ``mu`` an eigenvalue of ``S`` to working precision, so that ``mu``
     passes.
     """
-    _check_cap(gen, dense_cap)
+    _check_cap(gen)
+    s = sparse_symmetrized(gen)
     try:
-        vals = scipy.linalg.eigvals(symmetrized(gen))
+        vals = scipy.linalg.eigvals(s.toarray())
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
 
@@ -203,14 +201,13 @@ def spectrum(gen: GeneratorMatrix, dense_cap: int = DENSE_CAP, rank_tol: float =
     zero_idx = int(np.argmin(np.abs(vals)))
     scale = gen.operator_scale()
 
-    s = _sparse_similarity(gen)
     eye = scipy.sparse.eye_array(len(vals), format="csc")
     start = np.random.default_rng(0).standard_normal(len(vals)).astype(complex)
     sample = np.linspace(0, len(vals) - 1, min(len(vals), 16)).astype(int)
     residuals = []
     for i in np.union1d(sample, [zero_idx]):
         if i == zero_idx:
-            x = np.sqrt(gen.steady)
+            x = mean_zero_direction(gen)
         else:
             try:
                 lu = scipy.sparse.linalg.splu(s - vals[i] * eye)
@@ -226,9 +223,8 @@ def spectrum(gen: GeneratorMatrix, dense_cap: int = DENSE_CAP, rank_tol: float =
     others = np.ones(len(vals), dtype=bool)
     others[zero_idx] = False
     abscissa = float(vals.real[others].max())
-    violations = vals[others & (vals.real > rank_tol * max(scale, 1.0))]
-    zero_vec = gen.steady / np.linalg.norm(gen.steady)
-    return SpectrumReport(vals, zero_idx, abscissa, violations, zero_vec)
+    violations = vals[others & (vals.real > RANK_TOL * max(scale, 1.0))]
+    return SpectrumReport(vals, zero_idx, abscissa, violations)
 
 
 def default_lambda_max(gen: GeneratorMatrix) -> float:
@@ -241,7 +237,6 @@ def psi_sweep(
     lambda_max: float = 0.0,
     coarse_points: int = COARSE_POINTS,
     refine_depth: int = REFINE_DEPTH,
-    dense_cap: int = DENSE_CAP,
 ) -> PsiEstimate:
     """Certify the resolvent gap of the restricted operator ``S0``.
 
@@ -264,7 +259,7 @@ def psi_sweep(
     :func:`sparse_sigma_min`.  The two agree to about 1e-14 relative.
     The eigenvalues of ``S0`` and of ``H(gamma)`` are dense solves.
     """
-    _check_cap(gen, dense_cap)
+    _check_cap(gen)
     if lambda_max == 0.0:
         lambda_max = default_lambda_max(gen)
     if not (lambda_max > 0.0 and np.isfinite(lambda_max)):
@@ -323,12 +318,7 @@ def psi_sweep(
     )
 
 
-def semigroup_bound_check(
-    gen: GeneratorMatrix,
-    psi: PsiEstimate,
-    t_grid,
-    dense_cap: int = DENSE_CAP,
-) -> SemigroupBoundReport:
+def semigroup_bound_check(gen: GeneratorMatrix, psi: PsiEstimate, t_grid) -> SemigroupBoundReport:
     """Verify ``||exp(tA)|| <= exp(-t psi + pi/2)`` on the mean-zero subspace.
 
     The operator norm is the largest singular value of the dense matrix
@@ -336,7 +326,7 @@ def semigroup_bound_check(
     Pade rational core).  For a dissipative generator the norm is also
     non-increasing in ``t``; an overflow here signals a broken matrix.
     """
-    _check_cap(gen, dense_cap)
+    _check_cap(gen)
     times = np.asarray(t_grid, dtype=float)
     if (
         len(times) == 0

@@ -130,20 +130,13 @@ def phase_integral(psi, lam: float, base_points: int = DEFAULT_BASE_POINTS) -> c
     return complex(total)
 
 
-def lemma_sweep(
-    psi,
-    lambda_min: float,
-    lambda_max: float,
-    points: int,
-    base_points: int = DEFAULT_BASE_POINTS,
-    margin: float = DEFAULT_MARGIN,
-) -> PhaseSweep:
+def lemma_sweep(psi, lambda_min: float, lambda_max: float, points: int) -> PhaseSweep:
     """Sweep ``|I(lambda)|`` on a geometric grid and judge the tail.
 
     The surrogate for the limit superior is the maximum modulus over the
     largest half of the sweep; the verdict is consistent with
     high-frequency non-degeneracy when that maximum stays below
-    ``1 - margin``.
+    ``1 - DEFAULT_MARGIN``.
     """
     if not 0.0 < lambda_min < lambda_max:
         raise ConfigurationError("need 0 < lambda_min < lambda_max")
@@ -155,7 +148,7 @@ def lemma_sweep(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
         for i, lam in enumerate(lambdas):
-            values[i] = phase_integral(psi, float(lam), base_points=base_points)
+            values[i] = phase_integral(psi, float(lam))
     for w in caught:
         notes.append(str(w.message))
     moduli = np.abs(values)
@@ -167,7 +160,7 @@ def lemma_sweep(
         moduli=moduli,
         values=values,
         limsup_estimate=limsup,
-        lemma_consistent=bool(limsup < 1.0 - margin),
-        margin=margin,
+        lemma_consistent=bool(limsup < 1.0 - DEFAULT_MARGIN),
+        margin=DEFAULT_MARGIN,
         warnings=tuple(notes),
     )

@@ -83,21 +83,15 @@ class SteadyState:
                 raise ShapeError(f"steady-state array {name} does not match the grid")
 
 
-def _coupling_matrices(
-    b1: FieldSpec,
-    b2: FieldSpec,
-    sigma: FieldSpec,
-    xs: np.ndarray,
-    floor: float,
-) -> np.ndarray:
+def _coupling_matrices(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, xs: np.ndarray) -> np.ndarray:
     """Stack of flux-ODE coefficient matrices sampled along ``xs``."""
     v1 = np.asarray(evaluate(b1, xs))
     v2 = np.asarray(evaluate(b2, xs))
     small = min(np.abs(v1).min(), np.abs(v2).min())
-    if small < floor:
+    if small < DEGENERACY_FLOOR:
         raise DegenerateFieldError(
             f"velocity field reaches |b| = {small:.3e} on the integration path "
-            f"(floor {floor:.1e})"
+            f"(floor {DEGENERACY_FLOOR:.1e})"
         )
     sg = np.asarray(evaluate(sigma, xs))
     inv1 = sg / v1
@@ -147,7 +141,6 @@ def fundamental_matrix(
     sigma: FieldSpec,
     x: float,
     steps: int = DEFAULT_STEPS,
-    floor: float = DEGENERACY_FLOOR,
 ) -> np.ndarray:
     """Fundamental matrix ``Phi(x)`` of the flux system, ``Phi(0) = I``.
 
@@ -159,7 +152,8 @@ def fundamental_matrix(
     Raises
     ------
     DegenerateFieldError
-        If a velocity field drops below ``floor`` anywhere on the path.
+        If a velocity field drops below ``DEGENERACY_FLOOR`` anywhere on
+        the path.
     DomainError
         If ``x`` lies outside ``[0, 1]``.
     """
@@ -168,7 +162,7 @@ def fundamental_matrix(
     if x == 0.0:
         return np.eye(2)
     lattice = np.linspace(0.0, x, 2 * steps + 1)
-    mats = _coupling_matrices(b1, b2, sigma, lattice, floor)
+    mats = _coupling_matrices(b1, b2, sigma, lattice)
     return _rk4_sweep(mats, np.eye(2), x / steps)
 
 
@@ -178,7 +172,6 @@ def solve_steady(
     sigma: FieldSpec,
     n: int,
     steps: int = DEFAULT_STEPS,
-    floor: float = DEGENERACY_FLOOR,
 ) -> SteadyState:
     """Construct the normalised positive steady state on ``n + 1`` nodes.
 
@@ -199,7 +192,7 @@ def solve_steady(
     """
     if n < 8:
         raise ValueError("steady-state grid needs at least 8 cells")
-    phi1 = fundamental_matrix(b1, b2, sigma, 1.0, steps=steps, floor=floor)
+    phi1 = fundamental_matrix(b1, b2, sigma, 1.0, steps=steps)
     defect = phi1 - np.eye(2)
     _, svals, vh = np.linalg.svd(defect)
     tol = RANK_TOL * max(svals[0], 1.0)
@@ -216,7 +209,7 @@ def solve_steady(
 
     substeps = max(1, math.ceil(steps / n))
     lattice = np.linspace(0.0, 1.0, 2 * substeps * n + 1)
-    mats = _coupling_matrices(b1, b2, sigma, lattice, floor)
+    mats = _coupling_matrices(b1, b2, sigma, lattice)
     fluxes = _rk4_sweep(mats, flux0.copy(), 1.0 / (substeps * n), record_every=substeps)
 
     nodes = np.linspace(0.0, 1.0, n + 1)

@@ -294,7 +294,7 @@ def test_criterion_8_stationary_phase(variant_fields):
 def test_criterion_9_determinism(tmp_path):
     config = tmp_path / "run.yaml"
     config.write_text(GT_REPORT_CONFIG.replace("directory: out", f"directory: {tmp_path / 'o'}"))
-    base = ["report", "--config", str(config), "--seed", "7"]
+    base = ["report", "--config", str(config)]
     assert main(base + ["--out", str(tmp_path / "a")]) == 0
     assert main(base + ["--out", str(tmp_path / "b")]) == 0
     names = sorted(p.name for p in (tmp_path / "a").iterdir())

@@ -79,6 +79,7 @@ def test_unknown_key_is_config_error(tmp_path):
         ("evolve.snapshot_every", "observe_every: 5", "observe_every: 5\n  snapshot_every: -5"),
         ("evolve.T", "T: 8.0", "T: .inf"),
         ("evolve.dt", "dt: 0.002", "dt: .nan"),
+        ("evolve.dt", "dt: 0.002", "dt: 1.0e-320"),
         ("spectral.t_grid[2]", "t_grid: [0.5, 1.0, 2.0]", "t_grid: [0.5, 1.0, .inf]"),
         ("fields.sigma.value", "grid:", "  sigma: {kind: constant, value: .inf}\ngrid:"),
         ("fields.sigma", "grid:", "  sigma: {kind: tabulated, x: [0.0, 1.0], v: [1.0, .nan]}\ngrid:"),
@@ -89,6 +90,27 @@ def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting, old, ne
     path.write_text(GT_CONFIG.format(out=tmp_path / "out").replace(old, new))
     assert main(_args(path, "validate")) == 1
     assert setting in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evolve", "report"])
+@pytest.mark.parametrize("every", [7, 4000], ids=["non-divisor", "one-interval"])
+def test_observe_every_must_split_the_run_evenly(tmp_path, capsys, command, every):
+    # T / dt = 4000 steps; evolve always records the last one, so 7 would
+    # leave an uneven last interval and 4000 only two observation times.
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        GT_CONFIG.format(out=tmp_path / "out").replace("observe_every: 5", f"observe_every: {every}")
+    )
+    assert main(_args(path, command)) == 1
+    assert "evolve.observe_every" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "timeseries.csv").exists()
+
+
+def test_seed_flag_is_gone(gt_config):
+    # No stage of the CLI draws random states, so there is nothing to seed.
+    with pytest.raises(SystemExit) as exc:
+        main(_args(gt_config, "report", "--seed", "1"))
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("row", ["0.5,1O.0", "O.5,1O.0", "0.5,1.0,9", "0.5"])
@@ -210,7 +232,7 @@ def test_report_consistent_run(gt_config, tmp_path, capsys):
     assert report["psi"]["psi_hat"] > 0.0
     assert report["decay"]["alpha_hat"] >= report["psi"]["psi_hat"] - 0.05
     assert abs(report["spectrum"]["x0_abscissa"]) >= report["psi"]["psi_hat"] - 1e-6
-    assert report["generator"]["dissipativity_max_rayleigh"] <= 1e-10
+    assert report["generator"]["hermitian_abscissa"] <= 1e-10
     assert report["entropy"]["mass_drift"] <= 1e-12
     assert "CONSISTENT" in capsys.readouterr().out
 

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 import twospeed as ts
 import twospeed.spectral
 from twospeed.errors import ConfigurationError, NumericalError
-from twospeed.generator import bordered_sigma_min, symmetrized
+from twospeed.generator import bordered_sigma_min, sparse_symmetrized, symmetrized
 from twospeed.spectral import (
     SPARSE_SIGMA_MIN_SIDE,
     default_lambda_max,
     mean_zero_basis,
+    mean_zero_direction,
     restricted_operator,
     sparse_sigma_min,
 )
@@ -29,13 +30,6 @@ def test_spectrum_zero_mode_and_stability(gen_gt_128):
     assert rep.eigenvalues.real.max() <= 1e-8 * scale
     assert len(rep.nonneg_violations) == 0
     assert rep.x0_abscissa < -0.5
-
-
-def test_zero_mode_vector_aligned_with_steady(gen_gt_128):
-    rep = ts.spectrum(gen_gt_128)
-    v = gen_gt_128.steady / np.linalg.norm(gen_gt_128.steady)
-    cosine = np.abs(np.vdot(rep.zero_mode_vector, v))
-    assert np.arccos(min(cosine, 1.0)) < 1e-6
 
 
 @pytest.mark.parametrize("fixture", ["gen_gt_64", "gen_variant_64"])
@@ -102,9 +96,15 @@ def test_variant_spectrum_in_left_half_plane(gen_variant_128):
     assert (np.abs(rep.eigenvalues) <= 1e-8 * scale).sum() == 1
 
 
-def test_dense_cap_enforced(gen_gt_64):
-    with pytest.raises(NumericalError):
-        ts.spectrum(gen_gt_64, dense_cap=16)
+def test_dense_cap_enforced(gen_gt_64, monkeypatch):
+    monkeypatch.setattr(twospeed.spectral, "DENSE_CAP", 16)
+    with pytest.raises(NumericalError, match="dense solver cap 16"):
+        ts.spectrum(gen_gt_64)
+    with pytest.raises(NumericalError, match="dense solver cap 16"):
+        ts.psi_sweep(gen_gt_64)
+    est = ts.PsiEstimate(np.zeros(16), np.ones(16), 1.0, 0.0, 20.0, 1)
+    with pytest.raises(NumericalError, match="dense solver cap 16"):
+        ts.semigroup_bound_check(gen_gt_64, est, [0.0, 1.0])
 
 
 def test_mean_zero_basis_is_orthonormal_and_invariant(gen_variant_64):
@@ -213,6 +213,15 @@ def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
         ts.FieldSpec.constant(sigma),
         ts.Grid(n),
     )
+    # One S for the dense and the sparse stages, entry for entry, and one
+    # z0: a unit right and left null vector of it.
+    s = sparse_symmetrized(gen)
+    assert np.array_equal(symmetrized(gen), s.toarray())
+    z0 = mean_zero_direction(gen)
+    tol = 1e-13 * gen.operator_scale()
+    assert abs(np.linalg.norm(z0) - 1.0) <= 1e-13
+    assert np.abs(s @ z0).max() <= tol
+    assert np.abs(z0 @ s).max() <= tol
     s0 = restricted_operator(gen)
     eye = np.eye(s0.shape[0])
     mu = scipy.linalg.eigvals(s0)

@@ -3,7 +3,6 @@ import pytest
 
 import twospeed as ts
 from twospeed.errors import DegenerateFieldError, NonUniqueSteadyStateError
-from twospeed.fields import DEGENERACY_FLOOR
 from twospeed.quadrature import trapezoid_weights
 from twospeed.steady_state import DEFAULT_STEPS, _coupling_matrices, _rk4_sweep
 
@@ -52,7 +51,7 @@ def test_rk4_propagators_match_stepwise_sweep(fields, record_every, request):
     b1, b2, sigma = request.getfixturevalue(fields)
     steps = DEFAULT_STEPS
     lattice = np.linspace(0.0, 1.0, 2 * steps + 1)
-    mats = _coupling_matrices(b1, b2, sigma, lattice, DEGENERACY_FLOOR)
+    mats = _coupling_matrices(b1, b2, sigma, lattice)
     for y0 in (np.eye(2), np.array([0.3, 0.7])):
         got = _rk4_sweep(mats, y0, 1.0 / steps, record_every)
         want = _stepwise_rk4_sweep(mats, y0, 1.0 / steps, record_every)
