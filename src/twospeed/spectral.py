@@ -84,16 +84,17 @@ REFINE_DEPTH = 40
 
 #: Matrix side ``2n`` from which ``psi_sweep`` takes ``sigma_min`` from a
 #: sparse LU and inverse Lanczos instead of a dense SVD.  Mean CPU time
-#: per point over 32 points of the default coarse grid, variant fields,
-#: one BLAS thread on a 2-core x86-64 host, with real Lanczos:
+#: per point over 32 points of the default coarse grid (which ends at
+#: :func:`default_lambda_max`), variant fields, one BLAS thread on a
+#: 2-core x86-64 host, with real Lanczos; fastest of two or three runs:
 #:
 #:     n       16    32    64    80    96    128   256
-#:     dense   0.2   0.8   3.6   6.6   10.1  18.1  146   ms
-#:     sparse  3.0   4.1   5.2   5.3   6.3   7.5   14    ms
+#:     dense   0.2   0.6   2.8   5.3   6.6   14    113   ms
+#:     sparse  1.8   2.5   2.6   3.1   2.5   3.2   5.3   ms
 #:
-#: The routes cross between n = 64 and 80, as they did with complex
-#: Arnoldi; the sparse route starts at n = 96, so small grids keep the
-#: cheaper dense SVD.
+#: The routes cross between n = 64 and 80; the sparse route starts at
+#: n = 96, so small grids, the n = 16 warm-up of a benchmark op among
+#: them, keep the cheaper dense SVD.
 SPARSE_SIGMA_MIN_SIDE = 192
 
 
@@ -228,8 +229,21 @@ def spectrum(gen: GeneratorMatrix) -> SpectrumReport:
 
 
 def default_lambda_max(gen: GeneratorMatrix) -> float:
-    """Sweep bound covering the discrete transport frequency range."""
-    return 4.0 * gen.max_speed() * gen.grid.n * pi
+    """Certified upper bound ``sqrt(||S||_1 ||S||_inf)`` on ``||S0||_2``, in O(nnz).
+
+    ``S0`` is a compression of ``S``, so ``||S0||_2 <= ||S||_2``, and
+    ``||S||_2^2 <= ||S||_1 ||S||_inf`` (Schur's test).  Past the bound
+    Weyl gives ``sigma_min(S0 - i lambda) >= |lambda| - lambda_max``, so
+    the infimum ``psi`` lies at most ``psi`` beyond ``lambda_max``.  The
+    certificate of :func:`psi_sweep` is global and does not depend on
+    this range.  A bound that is not positive and finite raises
+    :class:`NumericalError`.
+    """
+    s = sparse_symmetrized(gen)
+    bound = float(np.sqrt(scipy.sparse.linalg.norm(s, 1) * scipy.sparse.linalg.norm(s, np.inf)))
+    if not (bound > 0.0 and np.isfinite(bound)):
+        raise NumericalError(f"norm bound sqrt(||S||_1 ||S||_inf) is {bound!r}, not positive and finite")
+    return bound
 
 
 def psi_sweep(
@@ -241,8 +255,12 @@ def psi_sweep(
     """Certify the resolvent gap of the restricted operator ``S0``.
 
     ``sigma_min(S0 - i lambda)`` is sampled on a uniform coarse grid
-    over ``[0, lambda_max]`` (``lambda_max = 0`` selects the default
-    bound) for the ``psi_sweep.csv`` artifact.  The smallest sample, or
+    over ``[0, lambda_max]`` for the ``psi_sweep.csv`` artifact;
+    ``lambda_max = 0`` selects :func:`default_lambda_max`, a certified
+    bound on ``||S0||_2``, beyond which Weyl gives
+    ``sigma_min >= lambda - lambda_max``.  The range only places the
+    samples: the certificate below holds on all of R whatever the range,
+    and an explicit ``lambda_max`` is used as given.  The smallest sample, or
     value at the imaginary part of a rightmost eigenvalue, is the first
     level ``gamma``.  Each level-set iteration (at most ``refine_depth``)
     finds the imaginary-axis eigenvalues ``i w`` of

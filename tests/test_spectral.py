@@ -20,7 +20,7 @@ from twospeed.spectral import (
     sparse_sigma_min,
 )
 
-from upwind_spectrum import goldstein_taylor_upwind_eigenvalues
+from upwind_spectrum import goldstein_taylor_upwind_eigenvalues, transport_lambda_max
 
 
 def test_spectrum_zero_mode_and_stability(gen_gt_128):
@@ -149,8 +149,13 @@ def test_psi_sweep_mirror_symmetry(gen_gt_64):
 
 def test_psi_certificate_ignores_sweep_range(gen_variant_64):
     # The coarse grid only seeds the level-set iteration, so a sweep that
-    # stops short of the minimum still certifies the same gap.
+    # stops short of the minimum, or reaches six times as far as ||S0||_2,
+    # still certifies the same gap.
     full = ts.psi_sweep(gen_variant_64)
+    wide = ts.psi_sweep(gen_variant_64, lambda_max=transport_lambda_max(gen_variant_64))
+    assert full.lambda_max == default_lambda_max(gen_variant_64) < wide.lambda_max
+    assert wide.psi_hat == pytest.approx(full.psi_hat, rel=1e-12)
+    assert wide.refinement_depth == full.refinement_depth
     short = ts.psi_sweep(gen_variant_64, lambda_max=1.0, coarse_points=16, refine_depth=5)
     assert short.psi_hat == pytest.approx(full.psi_hat, rel=1e-9)
     assert short.psi_hat <= abs(ts.spectrum(gen_variant_64).x0_abscissa)
@@ -195,8 +200,9 @@ def test_psi_certificate_is_tight_lower_bound():
         assert polished <= est.psi_hat * (1.0 + 1e-6), f"draw {draw}"
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(
+# Admissible draws from the benchmark's field box, below the size at
+# which psi_sweep switches sigma_min routes.
+benchmark_box = given(
     b1=st.floats(0.8, 1.2),
     a=st.floats(-1.2, -0.8),
     b=st.floats(0.2, 0.5),
@@ -204,15 +210,23 @@ def test_psi_certificate_is_tight_lower_bound():
     sigma=st.floats(0.5, 1.5),
     n=st.sampled_from([16, 32]),
 )
-def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
-    # Admissible draws from the benchmark's field box, below the size at
-    # which psi_sweep switches routes, so the helper is called directly.
-    gen = ts.assemble(
+
+
+def box_generator(b1, a, b, c, sigma, n):
+    return ts.assemble(
         ts.FieldSpec.constant(b1),
         ts.FieldSpec.trigonometric(a, b, c),
         ts.FieldSpec.constant(sigma),
         ts.Grid(n),
     )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@benchmark_box
+def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
+    # psi_sweep takes the dense route at these sizes, so the sparse
+    # helper is called directly.
+    gen = box_generator(b1, a, b, c, sigma, n)
     # One S for the dense and the sparse stages, entry for entry, and one
     # z0: a unit right and left null vector of it.
     s = sparse_symmetrized(gen)
@@ -226,7 +240,7 @@ def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
     eye = np.eye(s0.shape[0])
     mu = scipy.linalg.eigvals(s0)
     # 1e-15: next to lambda = 0, where S - i lambda alone is nearly singular.
-    lams = [0.0, 1e-15, *mu[np.argsort(mu.real)[-8:]].imag, default_lambda_max(gen)]
+    lams = [0.0, 1e-15, *mu[np.argsort(mu.real)[-8:]].imag, transport_lambda_max(gen)]
     sig_min = sparse_sigma_min(gen)
     for lam in lams:
         dense = scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1]
@@ -269,9 +283,39 @@ def test_sparse_sigma_min_is_independent_of_earlier_points(b1, trig, sigma):
     s0 = restricted_operator(gen)
     eye = np.eye(s0.shape[0])
     sig_min = sparse_sigma_min(gen)
-    for lam in np.linspace(0.0, default_lambda_max(gen), 128):
+    for lam in np.linspace(0.0, transport_lambda_max(gen), 128):
         dense = scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1]
         assert sig_min(lam) == pytest.approx(dense, rel=1e-12), f"lambda = {lam}"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@benchmark_box
+def test_default_lambda_max_bounds_the_operator_norm(b1, a, b, c, sigma, n):
+    gen = box_generator(b1, a, b, c, sigma, n)
+    bound = default_lambda_max(gen)
+    assert bound >= np.linalg.norm(restricted_operator(gen), 2)
+    assert bound >= np.linalg.norm(symmetrized(gen), 2)
+
+
+def test_sparse_psi_certificate_ignores_sweep_range(variant_fields):
+    # test_psi_certificate_ignores_sweep_range on the sparse route.
+    gen = ts.assemble(*variant_fields, ts.Grid(96))
+    assert gen.size == SPARSE_SIGMA_MIN_SIDE
+    auto = ts.psi_sweep(gen)
+    wide = ts.psi_sweep(gen, lambda_max=transport_lambda_max(gen))
+    assert auto.lambda_max == default_lambda_max(gen) < wide.lambda_max
+    assert auto.psi_hat == pytest.approx(wide.psi_hat, rel=1e-12)
+    assert auto.refinement_depth == wide.refinement_depth
+
+
+def test_broken_norm_bound_raises_numerical_error(gen_gt_64, monkeypatch):
+    # The automatic range is not a config key, so its failure must not
+    # read as a rejected lambda_max.
+    monkeypatch.setattr(twospeed.spectral.scipy.sparse.linalg, "norm", lambda *args: np.nan)
+    with pytest.raises(NumericalError, match="not positive and finite"):
+        default_lambda_max(gen_gt_64)
+    with pytest.raises(NumericalError, match="not positive and finite"):
+        ts.psi_sweep(gen_gt_64)
 
 
 def test_sparse_psi_sweep_matches_dense_svd(gen_variant_128):

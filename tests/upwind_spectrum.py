@@ -1,4 +1,5 @@
-"""Closed-form spectrum of the upwind Goldstein-Taylor generator.
+"""Closed-form spectrum of the upwind Goldstein-Taylor generator, and the
+transport frequency range the ``sigma_min`` tests probe.
 
 For ``b1 = 1``, ``b2 = -1`` and ``sigma = 1`` on ``n`` cells the
 assembled generator is block circulant: each transport block is a
@@ -44,3 +45,13 @@ def goldstein_taylor_continuum_eigenvalues(kmax: int) -> np.ndarray:
         omega = np.sqrt(4.0 * np.pi**2 * k**2 - 1.0)
         vals += [-1.0 + 1j * omega, -1.0 - 1j * omega]
     return np.array(vals)
+
+
+def transport_lambda_max(gen) -> float:
+    """The probe range ``4 pi max|b| n`` of the ``sigma_min`` route tests.
+
+    It is about six times ``||S0||_2``, so most of ``[0, 4 pi max|b| n]``
+    lies above the norm, where the singular values of ``S0 - i lambda``
+    cluster and inverse Lanczos converges slowest.
+    """
+    return 4.0 * gen.max_speed() * gen.grid.n * np.pi
