@@ -24,8 +24,10 @@ the time stepper and every matrix-vector product use it.  The weighted
 similarity transform ``S = D^{-1/2} A D^{1/2}`` on which every spectral
 stage works has one builder, :func:`sparse_symmetrized`, with the same
 sparsity; :func:`symmetrized` is its dense copy.  ``matrix``, the dense
-copy of ``A``, is built only when read (``--dump-matrix`` and tests); no
-stage of the pipeline reads it.
+copy of ``A``, is built on every read and never kept (``--dump-matrix``
+and tests); no stage of the pipeline reads it.  :func:`hermitian_abscissa`
+works on the symmetric part of ``S`` as a band matrix in
+:func:`fold_order`, in O(n) memory.
 
 The canonical discrete steady state is the matrix's own null vector, not
 the sampled ODE solution.  Because every column of the matrix ``A`` sums
@@ -42,7 +44,6 @@ cross-validation oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -97,7 +98,8 @@ class GeneratorMatrix:
     averages as a CSC sparse array with at most four stored entries per
     column; matrix-vector products and time stepping use it.  ``matrix``
     is the same operator as a dense array (``operator.toarray()``),
-    built on first read and kept; no library function reads it.
+    built anew on every read and never kept; no library function reads
+    it.
     ``steady`` is the positive null vector normalised to discrete total
     mass one, and the metric weights are the entrywise reciprocals of
     ``steady``.
@@ -110,7 +112,7 @@ class GeneratorMatrix:
     sigma_cells: np.ndarray
     steady: np.ndarray
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
         return self.operator.toarray()
 
@@ -365,7 +367,40 @@ def symmetrized(gen: GeneratorMatrix) -> np.ndarray:
     return sparse_symmetrized(gen).toarray()
 
 
+def fold_order(n: int) -> np.ndarray:
+    """Stacked indices in the folded cell order ``0, n-1, 1, n-2, ...``.
+
+    The two components of a cell are adjacent.  Each cell couples only
+    to its two cyclic neighbours and to its own other component.
+    Folding the ring of cells puts every neighbour at most two cells
+    away, seam included, so in this order the generator and its
+    symmetric part are banded with half-width 4 for any sign of the
+    speeds.
+    """
+    cells = np.empty(n, dtype=np.intp)
+    cells[0::2] = np.arange((n + 1) // 2)
+    cells[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    return np.stack([cells, cells + n], axis=1).ravel()
+
+
 def hermitian_abscissa(gen: GeneratorMatrix) -> float:
-    """Largest eigenvalue of the symmetric part of the similarity transform."""
-    s = symmetrized(gen)
-    return float(scipy.linalg.eigvalsh(0.5 * (s + s.T))[-1])
+    """Largest eigenvalue of the symmetric part of the similarity transform.
+
+    The symmetric part ``(S + S^T) / 2`` of :func:`sparse_symmetrized`
+    is reordered by :func:`fold_order` into a symmetric band matrix, and
+    LAPACK's banded solver returns its top eigenvalue alone: O(n) memory
+    and no dense ``2n x 2n`` array.  The band entries are the dense
+    symmetric part's entries bit for bit.
+    """
+    s = sparse_symmetrized(gen)
+    sym = (0.5 * (s + s.T)).tocoo()
+    m = gen.size
+    pos = np.empty(m, dtype=np.intp)
+    pos[fold_order(gen.grid.n)] = np.arange(m)
+    rows, cols = pos[sym.row], pos[sym.col]
+    lower = rows >= cols
+    offsets = rows[lower] - cols[lower]
+    band = np.zeros((offsets.max() + 1, m))
+    band[offsets, cols[lower]] = sym.data[lower]
+    top = scipy.linalg.eigvals_banded(band, lower=True, select="i", select_range=(m - 1, m - 1))
+    return float(top[0])

@@ -194,7 +194,7 @@ def spectrum(gen: GeneratorMatrix) -> SpectrumReport:
     _check_cap(gen)
     s = sparse_symmetrized(gen)
     try:
-        vals = scipy.linalg.eigvals(s.toarray())
+        vals = scipy.linalg.eigvals(s.toarray(order="F"), overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"dense eigensolver failed: {exc}") from exc
 

@@ -2,10 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import twospeed as ts
-from twospeed.errors import DefectiveGeneratorError, InvalidCrossSectionError, ShapeError
-from twospeed.generator import bordered_sigma_min, rayleigh_real_part
+from twospeed.errors import (
+    DefectiveGeneratorError,
+    InvalidCrossSectionError,
+    PositivityError,
+    ShapeError,
+)
+from twospeed.generator import bordered_sigma_min, fold_order, rayleigh_real_part, symmetrized
 
 
 def test_goldstein_taylor_column_sums_vanish_exactly(gen_gt_64):
@@ -127,6 +135,46 @@ def test_hermitian_abscissa_nonpositive(gen_variant_128):
     assert ts.hermitian_abscissa(gen_variant_128) <= 1e-10
 
 
+# Speeds a + b sin(2 pi x) + c cos(2 pi x), b >= 0.2 so that neither
+# vanishes identically: of one sign for a^2 > b^2 + c^2, else changing sign.
+speed = st.tuples(st.floats(-1.5, 1.5), st.floats(0.2, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(b1=speed, b2=speed, sigma=st.floats(0.1, 2.0), n=st.integers(8, 67))
+def test_banded_hermitian_abscissa_matches_dense(b1, b2, sigma, n):
+    try:
+        gen = ts.assemble(
+            ts.FieldSpec.trigonometric(*b1),
+            ts.FieldSpec.trigonometric(*b2),
+            ts.FieldSpec.constant(sigma),
+            ts.Grid(n),
+        )
+    except (PositivityError, DefectiveGeneratorError):
+        # Sign-changing speeds that trap mass where they vanish admit no
+        # simple positive steady state, so there is no generator to test.
+        assume(False)
+    order = fold_order(n)
+    assert np.array_equal(np.sort(order), np.arange(gen.size))
+    folded = gen.operator[order][:, order].tocoo()
+    assert np.abs(folded.row - folded.col).max() <= 4
+    s = symmetrized(gen)
+    dense = scipy.linalg.eigvalsh(0.5 * (s + s.T))[-1]
+    assert abs(ts.hermitian_abscissa(gen) - dense) <= 1e-13 * gen.operator_scale()
+
+
+def test_hermitian_abscissa_allocates_no_dense_matrix(variant_fields):
+    # A dense symmetric part is 8 MB at n = 512; the band is 40 kB.
+    gen = ts.assemble(*variant_fields, ts.Grid(512))
+    tracemalloc.start()
+    try:
+        ts.hermitian_abscissa(gen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_left_mass_functional_annihilates(gen_variant_128):
     ones = np.ones(gen_variant_128.size)
     assert np.abs(ones @ gen_variant_128.matrix).max() <= 1e-13 * gen_variant_128.operator_scale()
@@ -186,6 +234,12 @@ def test_assemble_allocates_no_dense_matrix(variant_fields):
     assert peak < 8e6
     assert "matrix" not in vars(gen)
     assert np.array_equal(gen.matrix, gen.operator.toarray())
+
+
+def test_dense_matrix_is_never_kept(gen_gt_64):
+    first = gen_gt_64.matrix
+    assert "matrix" not in vars(gen_gt_64)
+    assert gen_gt_64.matrix is not first
 
 
 def test_equal_speeds_sum_evolves_by_pure_transport():
