@@ -33,7 +33,7 @@ import functools
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,7 @@ from .errors import ConfigurationError, TwoSpeedError
 from .fields import FieldSpec, validate_cross_section_overlap, validate_transport_fields
 from .generator import Grid, assemble, hermitian_abscissa
 from .evolution import (
+    SCHEMES,
     component_imbalance,
     entropy_identity_residual,
     estimate_decay,
@@ -54,12 +55,13 @@ from .evolution import (
 from .space import StateVector
 from .spectral import (
     COARSE_POINTS,
+    MIN_COARSE_POINTS,
     REFINE_DEPTH,
     psi_sweep,
     semigroup_bound_check,
     spectrum,
 )
-from .stationary_phase import lemma_sweep
+from .stationary_phase import MIN_SWEEP_POINTS, lemma_sweep
 from .steady_state import solve_steady
 from .textio import read_csv_columns, write_csv, write_json
 
@@ -115,7 +117,7 @@ def _get_map(node, path: str) -> dict:
     return node
 
 
-def _get_number(node: dict, key: str, path: str, default=None, positive=False, integer=False):
+def _get_number(node: dict, key: str, path: str, default=None, positive=False, integer=False, at_least=None):
     if key not in node:
         if default is None:
             raise _fail(f"{path}.{key}", "missing required value")
@@ -131,6 +133,8 @@ def _get_number(node: dict, key: str, path: str, default=None, positive=False, i
         value = int(value)
     if positive and value <= 0:
         raise _fail(f"{path}.{key}", f"must be positive, got {value!r}")
+    if at_least is not None and value < at_least:
+        raise _fail(f"{path}.{key}", f"must be at least {at_least}, got {value!r}")
     return value
 
 
@@ -272,12 +276,10 @@ def load_config(path, out_override=None) -> RunConfig:
         "evolve",
     )
     scheme = ev.get("scheme", "implicit-trapezoid")
-    if scheme not in ("implicit-trapezoid", "explicit-rk4"):
+    if scheme not in SCHEMES:
         raise _fail("evolve.scheme", f"unknown scheme {scheme!r}")
 
-    snapshot_every = _get_number(ev, "snapshot_every", "evolve", default=0, integer=True)
-    if snapshot_every < 0:
-        raise _fail("evolve.snapshot_every", f"must be non-negative, got {snapshot_every!r}")
+    snapshot_every = _get_number(ev, "snapshot_every", "evolve", default=0, integer=True, at_least=0)
     evolve_T = _get_number(ev, "T", "evolve", default=10.0, positive=True)
     evolve_dt = _get_number(ev, "dt", "evolve", default=1e-3, positive=True)
     observe_every = _get_number(ev, "observe_every", "evolve", default=10, positive=True, integer=True)
@@ -332,14 +334,16 @@ def load_config(path, out_override=None) -> RunConfig:
         observe_every=observe_every,
         snapshot_every=snapshot_every,
         initial=_parse_initial(ev.get("initial"), "evolve.initial", base_dir),
-        lambda_max=_get_number(sp, "lambda_max", "spectral", default=0.0),
-        coarse_points=_get_number(sp, "coarse_points", "spectral", default=COARSE_POINTS, positive=True, integer=True),
+        lambda_max=_get_number(sp, "lambda_max", "spectral", default=0.0, at_least=0),
+        coarse_points=_get_number(
+            sp, "coarse_points", "spectral", default=COARSE_POINTS, integer=True, at_least=MIN_COARSE_POINTS
+        ),
         refine_depth=_get_number(sp, "refine_depth", "spectral", default=REFINE_DEPTH, positive=True, integer=True),
         t_grid=tuple(t_vals),
         lemma_psi=lemma_psi,
         lemma_lambda_min=lemma_lo,
         lemma_lambda_max=lemma_hi,
-        lemma_points=_get_number(lm, "points", "lemma", default=33, positive=True, integer=True),
+        lemma_points=_get_number(lm, "points", "lemma", default=33, integer=True, at_least=MIN_SWEEP_POINTS),
         out_dir=out_dir,
         config_sha256=hashlib.sha256(raw).hexdigest(),
     )
@@ -363,16 +367,6 @@ def _validation_gate(cfg: RunConfig, args):
         print("continuing despite admissibility failure (--allow-degenerate)", file=sys.stderr)
         return reports
     return None
-
-
-def _report_dict(rep) -> dict:
-    return {
-        "passed": rep.passed,
-        "min_abs_value": rep.min_abs_value,
-        "sign": rep.sign,
-        "witness_x": rep.witness_x,
-        "detail": rep.detail,
-    }
 
 
 def _assemble(cfg: RunConfig, args):
@@ -637,8 +631,8 @@ def cmd_report(cfg: RunConfig, args) -> int:
         "config_sha256": cfg.config_sha256,
         "n": cfg.n,
         "assumptions": {
-            "velocities": _report_dict(rep1),
-            "cross_section_overlap": _report_dict(rep2),
+            "velocities": asdict(rep1),
+            "cross_section_overlap": asdict(rep2),
         },
         "generator": {"hermitian_abscissa": hermitian_abscissa(gen)},
         **sections,
@@ -698,12 +692,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, out_override=args.out)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return args.handler(cfg, args)
+        return args.handler(load_config(args.config, out_override=args.out), args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -46,7 +46,7 @@ from .errors import DomainError, InvalidCrossSectionError
 #: Margin below which a sampled quantity counts as degenerate (zero).
 DEGENERACY_FLOOR = 1e-10
 
-#: Default number of sample points for the admissibility checks.
+#: Number of sample points for the admissibility checks, read at call time.
 DEFAULT_SAMPLES = 4097
 
 _KINDS = ("constant", "affine", "trigonometric", "tabulated")
@@ -214,43 +214,63 @@ def _sign_class(values: np.ndarray) -> int:
     return 0
 
 
-def validate_transport_fields(b1: FieldSpec, b2: FieldSpec, samples: int = DEFAULT_SAMPLES) -> ValidationReport:
-    """Check that both velocity fields are non-degenerate and distinct.
+def _sampled_report(b1: FieldSpec, b2: FieldSpec, sigma=None) -> ValidationReport:
+    """Verdict on ``b1``, ``b2`` over ``DEFAULT_SAMPLES`` uniform points.
 
-    Passes iff, over a uniform grid of ``samples`` points, each field is
-    single-signed with ``min |b_i|`` above ``DEGENERACY_FLOOR`` and the
-    two fields differ by more than ``DEGENERACY_FLOOR`` somewhere.
-    Failure is reported, not raised.
+    The distinguishing quantity is ``|b1 - b2|``, weighted by the
+    clipped ``sigma`` when one is given.
     """
-    if samples < 2:
-        raise ValueError("need at least two sample points")
+    samples = DEFAULT_SAMPLES
     xs = np.linspace(0.0, 1.0, samples)
     v1 = np.asarray(evaluate(b1, xs))
     v2 = np.asarray(evaluate(b2, xs))
+    quantity = np.abs(v1 - v2)
+    if sigma is None:
+        label, distinct = "|b1 - b2|", "indistinguishable fields"
+    else:
+        sg = np.asarray(evaluate(sigma, xs))
+        if sg.min() < -DEGENERACY_FLOOR:
+            ix = int(np.argmin(sg))
+            raise InvalidCrossSectionError(
+                f"cross-section is negative: sigma({xs[ix]:.6f}) = {sg[ix]:.3e}"
+            )
+        quantity *= np.maximum(sg, 0.0)
+        label = "|b1 - b2|*sigma"
+        distinct = "velocity difference and cross-section are never simultaneously non-zero"
 
     s1 = _sign_class(v1)
     s2 = _sign_class(v2)
     min_abs = float(min(np.abs(v1).min(), np.abs(v2).min()))
-    diff = np.abs(v1 - v2)
-    iw = int(np.argmax(diff))
-    max_diff = float(diff[iw])
+    iw = int(np.argmax(quantity))
+    top = float(quantity[iw])
 
     problems = []
     if s1 == 0 or s2 == 0 or min_abs <= DEGENERACY_FLOOR:
         problems.append(f"degenerate velocity: min |b_i| = {min_abs:.3e} (floor {DEGENERACY_FLOOR:.1e})")
-    if max_diff <= DEGENERACY_FLOOR:
-        problems.append(f"indistinguishable fields: max |b1 - b2| = {max_diff:.3e}")
+    if top <= DEGENERACY_FLOOR:
+        problems.append(f"{distinct}: max {label} = {top:.3e}")
 
     passed = not problems
     if passed:
         detail = (
-            f"min |b_i| = {min_abs:.6e}, max |b1 - b2| = {max_diff:.6e} at x = {xs[iw]:.6f} "
+            f"min |b_i| = {min_abs:.6e}, max {label} = {top:.6e} at x = {xs[iw]:.6f} "
             f"(floor {DEGENERACY_FLOOR:.1e}, {samples} samples)"
         )
     else:
         detail = "; ".join(problems) + f" ({samples} samples)"
     sign = s1 if s1 == s2 else 0
     return ValidationReport(passed, min_abs, sign, float(xs[iw]), detail)
+
+
+def validate_transport_fields(b1: FieldSpec, b2: FieldSpec) -> ValidationReport:
+    """Check that both velocity fields are non-degenerate and distinct.
+
+    Passes iff, over a uniform grid of ``DEFAULT_SAMPLES`` points, each
+    field is single-signed with ``min |b_i|`` above ``DEGENERACY_FLOOR``
+    and the two fields differ by more than ``DEGENERACY_FLOOR``
+    somewhere.  Failure is reported, not raised.
+    """
+    return _sampled_report(b1, b2)
 
 
 def validate_cross_section_overlap(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec) -> ValidationReport:
@@ -267,41 +287,4 @@ def validate_cross_section_overlap(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpe
     InvalidCrossSectionError
         If ``sigma`` falls below ``-DEGENERACY_FLOOR`` at any sample.
     """
-    xs = np.linspace(0.0, 1.0, DEFAULT_SAMPLES)
-    v1 = np.asarray(evaluate(b1, xs))
-    v2 = np.asarray(evaluate(b2, xs))
-    sg = np.asarray(evaluate(sigma, xs))
-
-    if sg.min() < -DEGENERACY_FLOOR:
-        ix = int(np.argmin(sg))
-        raise InvalidCrossSectionError(
-            f"cross-section is negative: sigma({xs[ix]:.6f}) = {sg[ix]:.3e}"
-        )
-    sg = np.maximum(sg, 0.0)
-
-    s1 = _sign_class(v1)
-    s2 = _sign_class(v2)
-    min_abs = float(min(np.abs(v1).min(), np.abs(v2).min()))
-    product = np.abs(v1 - v2) * sg
-    iw = int(np.argmax(product))
-    max_product = float(product[iw])
-
-    problems = []
-    if s1 == 0 or s2 == 0 or min_abs <= DEGENERACY_FLOOR:
-        problems.append(f"degenerate velocity: min |b_i| = {min_abs:.3e} (floor {DEGENERACY_FLOOR:.1e})")
-    if max_product <= DEGENERACY_FLOOR:
-        problems.append(
-            "velocity difference and cross-section are never simultaneously non-zero: "
-            f"max |b1 - b2|*sigma = {max_product:.3e}"
-        )
-
-    passed = not problems
-    if passed:
-        detail = (
-            f"min |b_i| = {min_abs:.6e}, max |b1 - b2|*sigma = {max_product:.6e} "
-            f"at x = {xs[iw]:.6f} (floor {DEGENERACY_FLOOR:.1e}, {DEFAULT_SAMPLES} samples)"
-        )
-    else:
-        detail = "; ".join(problems) + f" ({DEFAULT_SAMPLES} samples)"
-    sign = s1 if s1 == s2 else 0
-    return ValidationReport(passed, min_abs, sign, float(xs[iw]), detail)
+    return _sampled_report(b1, b2, sigma)

@@ -190,6 +190,12 @@ def bordered_sigma_min(operator: scipy.sparse.sparray, u: np.ndarray):
     complex operator.  ``B(0)`` is bordered once; each ``lam`` costs one
     shift, one ``splu`` and one run.
 
+    With ``floor > 0`` one solve ``[y; t] = B^{-1} [v0; 0]`` comes first:
+    it bounds ``s <= ||v0|| / ||y||``.  A bound below ``floor``, or a
+    non-finite ``y``, is returned in place of ``s`` (0 when ``y`` is not
+    finite) without a Lanczos run, which could overflow on a kernel that
+    is many-dimensional to working precision.
+
     The returned function gives ``(None, 0.0)`` if ``B`` is exactly
     singular and raises :class:`NumericalError` when ARPACK fails.
     """
@@ -199,13 +205,20 @@ def bordered_sigma_min(operator: scipy.sparse.sparray, u: np.ndarray):
     v0 = np.random.default_rng(0).standard_normal(m)
     v0 -= u * (u @ v0)
 
-    def at(lam: float):
+    def at(lam: float, floor: float = 0.0):
         shifted = bordered - 1j * lam * shift if lam else bordered
         try:
             lu = scipy.sparse.linalg.splu(shifted)
         except RuntimeError:  # "Factor is exactly singular"
             return None, 0.0
         rhs = np.zeros(m + 1, dtype=shifted.dtype)  # the border entry stays 0
+        if floor:
+            rhs[:m] = v0
+            y = lu.solve(rhs)[:m]
+            with np.errstate(all="ignore"):
+                bound = float(np.linalg.norm(v0) / np.linalg.norm(y))
+            if not bound >= floor:
+                return lu, bound if np.isfinite(bound) else 0.0
 
         def normal_inverse(x: np.ndarray) -> np.ndarray:
             rhs[:m] = x.ravel()
@@ -248,7 +261,8 @@ def assemble(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, grid: Grid) -> Gene
         If ``sigma`` is negative beyond ``DEGENERACY_FLOOR`` at a cell center.
     DefectiveGeneratorError
         If the bordered matrix ``[[A, u], [u^T, 0]]`` is exactly singular
-        or its ``sigma_min`` (see :func:`bordered_sigma_min`) is below
+        or its ``sigma_min`` (see :func:`bordered_sigma_min`), or a
+        one-solve upper bound on it, is below
         ``RANK_TOL * (max |b| + max sigma)``, so the kernel is not simple
         to tolerance, or if the null vector's residual exceeds
         ``RANK_TOL`` relative to the operator scale.
@@ -286,8 +300,8 @@ def assemble(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, grid: Grid) -> Gene
     # has one sign; storing only true non-zeros keeps the LU fill small.
     operator.eliminate_zeros()
 
-    lu, s = bordered_sigma_min(operator, np.full(m, 1.0 / np.sqrt(m)))(0.0)
     threshold = RANK_TOL * (max(np.abs(f1).max(), np.abs(f2).max()) + sg.max())
+    lu, s = bordered_sigma_min(operator, np.full(m, 1.0 / np.sqrt(m)))(0.0, floor=threshold)
     if not s >= threshold:
         raise DefectiveGeneratorError(
             f"kernel is not simple: bordered sigma_min {s:.3e} < {threshold:.3e}"

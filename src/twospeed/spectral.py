@@ -82,6 +82,9 @@ DENSE_CAP = 4096
 COARSE_POINTS = 512
 REFINE_DEPTH = 40
 
+#: Fewest coarse sweep points :func:`psi_sweep` accepts.
+MIN_COARSE_POINTS = 16
+
 #: Matrix side ``2n`` from which ``psi_sweep`` takes ``sigma_min`` from a
 #: sparse LU and inverse Lanczos instead of a dense SVD.  Mean CPU time
 #: per point over 32 points of the default coarse grid (which ends at
@@ -282,8 +285,8 @@ def psi_sweep(
         lambda_max = default_lambda_max(gen)
     if not (lambda_max > 0.0 and np.isfinite(lambda_max)):
         raise ConfigurationError(f"lambda_max must be positive and finite, got {lambda_max!r}")
-    if coarse_points < 16:
-        raise ConfigurationError("coarse_points must be at least 16")
+    if coarse_points < MIN_COARSE_POINTS:
+        raise ConfigurationError(f"coarse_points must be at least {MIN_COARSE_POINTS}")
     if refine_depth < 1:
         raise ConfigurationError("refine_depth must be at least 1")
 

@@ -34,8 +34,11 @@ import numpy as np
 from .errors import ConfigurationError
 from .fields import FieldSpec, evaluate
 
-#: Minimum number of outer subintervals.
+#: Minimum number of outer subintervals, read at call time.
 DEFAULT_BASE_POINTS = 64
+
+#: Fewest frequencies :func:`lemma_sweep` accepts.
+MIN_SWEEP_POINTS = 8
 
 #: Subintervals per oscillation period of the integrand.
 POINTS_PER_PERIOD = 8
@@ -72,28 +75,26 @@ def _psi_values(psi, x: np.ndarray) -> np.ndarray:
     return np.asarray(psi(x), dtype=float)
 
 
-def _resolution(lam: float, psi_max: float, base_points: int) -> tuple:
+def _resolution(lam: float, psi_max: float) -> tuple:
     needed = math.ceil(POINTS_PER_PERIOD * abs(lam) * psi_max / (2.0 * math.pi))
-    m = max(base_points, needed)
+    m = max(DEFAULT_BASE_POINTS, needed)
     capped = m > MAX_SUBINTERVALS
     return (MAX_SUBINTERVALS if capped else m), capped
 
 
-def phase_integral(psi, lam: float, base_points: int = DEFAULT_BASE_POINTS) -> complex:
+def phase_integral(psi, lam: float) -> complex:
     """Compute ``I(lambda)`` with an oscillation-resolving grid.
 
     ``psi`` may be a :class:`~twospeed.fields.FieldSpec` or any callable
     mapping coordinates in ``[0, 1]`` to real values.  The number of
-    subintervals grows linearly with ``|lambda| * max|psi|`` so that
-    each period of the integrand is sampled at least eight times; above
-    ten million subintervals the grid saturates and an accuracy warning
-    is emitted.
+    subintervals is at least ``DEFAULT_BASE_POINTS`` and grows linearly
+    with ``|lambda| * max|psi|`` so that each period of the integrand is
+    sampled at least eight times; above ten million subintervals the
+    grid saturates and an accuracy warning is emitted.
     """
-    if base_points < 16:
-        raise ConfigurationError("base_points must be at least 16")
     probe = _psi_values(psi, np.linspace(0.0, 1.0, 2049))
     psi_max = float(np.abs(probe).max())
-    m, capped = _resolution(lam, psi_max, base_points)
+    m, capped = _resolution(lam, psi_max)
     if capped:
         warnings.warn(
             f"oscillation grid capped at {MAX_SUBINTERVALS} subintervals for "
@@ -140,8 +141,8 @@ def lemma_sweep(psi, lambda_min: float, lambda_max: float, points: int) -> Phase
     """
     if not 0.0 < lambda_min < lambda_max:
         raise ConfigurationError("need 0 < lambda_min < lambda_max")
-    if points < 8:
-        raise ConfigurationError("need at least 8 sweep points")
+    if points < MIN_SWEEP_POINTS:
+        raise ConfigurationError(f"need at least {MIN_SWEEP_POINTS} sweep points")
     lambdas = np.geomspace(lambda_min, lambda_max, points)
     notes = []
     values = np.empty(points, dtype=complex)

@@ -40,7 +40,9 @@ from .errors import (
 from .fields import DEGENERACY_FLOOR, FieldSpec, evaluate
 from .quadrature import trapezoid_weights
 
-#: Default number of integrator steps across the full interval.
+#: Integrator steps across ``[0, x]`` in :func:`fundamental_matrix`, and
+#: the least number across ``[0, 1]`` in :func:`solve_steady`; read at
+#: call time.
 DEFAULT_STEPS = 4096
 
 #: Relative rank tolerance for the fixed-space extraction from Phi(1) - I.
@@ -135,18 +137,12 @@ def _rk4_sweep(mats: np.ndarray, y: np.ndarray, h: float, record_every: int = 0)
     return out if record_every else y
 
 
-def fundamental_matrix(
-    b1: FieldSpec,
-    b2: FieldSpec,
-    sigma: FieldSpec,
-    x: float,
-    steps: int = DEFAULT_STEPS,
-) -> np.ndarray:
+def fundamental_matrix(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, x: float) -> np.ndarray:
     """Fundamental matrix ``Phi(x)`` of the flux system, ``Phi(0) = I``.
 
-    Integrates with ``steps`` uniform classical fourth-order steps on
-    ``[0, x]``.  Columns of the result describe how unit fluxes at 0
-    propagate to ``x``; the column sums stay equal to one because
+    Integrates with ``DEFAULT_STEPS`` uniform classical fourth-order
+    steps on ``[0, x]``.  Columns of the result describe how unit fluxes
+    at 0 propagate to ``x``; the column sums stay equal to one because
     ``(1, 1)`` is a left fixed vector of the coefficient matrix.
 
     Raises
@@ -157,29 +153,23 @@ def fundamental_matrix(
     DomainError
         If ``x`` lies outside ``[0, 1]``.
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
     if x == 0.0:
         return np.eye(2)
-    lattice = np.linspace(0.0, x, 2 * steps + 1)
+    lattice = np.linspace(0.0, x, 2 * DEFAULT_STEPS + 1)
     mats = _coupling_matrices(b1, b2, sigma, lattice)
-    return _rk4_sweep(mats, np.eye(2), x / steps)
+    return _rk4_sweep(mats, np.eye(2), x / DEFAULT_STEPS)
 
 
-def solve_steady(
-    b1: FieldSpec,
-    b2: FieldSpec,
-    sigma: FieldSpec,
-    n: int,
-    steps: int = DEFAULT_STEPS,
-) -> SteadyState:
+def solve_steady(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, n: int) -> SteadyState:
     """Construct the normalised positive steady state on ``n + 1`` nodes.
 
-    The periodic flux direction is the kernel direction of
-    ``Phi(1) - I`` (smallest singular direction); the flux is then
-    propagated across the node grid with the same integrator, densities
-    are recovered as ``J_i / b_i``, the sign is fixed so the total mass
-    is positive, and the profile is scaled to unit total mass.
+    One sweep of the integrator over ``[0, 1]`` (``substeps`` steps per
+    cell, ``substeps * n >= DEFAULT_STEPS``) records the fundamental
+    matrix ``Phi`` at every node.  The periodic flux direction is the
+    kernel direction of ``Phi(1) - I`` (smallest singular direction);
+    the node fluxes are ``Phi(x_k)`` applied to it, densities are
+    recovered as ``J_i / b_i``, the sign is fixed so the total mass is
+    positive, and the profile is scaled to unit total mass.
 
     Raises
     ------
@@ -192,9 +182,12 @@ def solve_steady(
     """
     if n < 8:
         raise ValueError("steady-state grid needs at least 8 cells")
-    phi1 = fundamental_matrix(b1, b2, sigma, 1.0, steps=steps)
-    defect = phi1 - np.eye(2)
-    _, svals, vh = np.linalg.svd(defect)
+    substeps = max(1, math.ceil(DEFAULT_STEPS / n))
+    lattice = np.linspace(0.0, 1.0, 2 * substeps * n + 1)
+    mats = _coupling_matrices(b1, b2, sigma, lattice)
+    phis = _rk4_sweep(mats, np.eye(2), 1.0 / (substeps * n), record_every=substeps)
+
+    _, svals, vh = np.linalg.svd(phis[-1] - np.eye(2))
     tol = RANK_TOL * max(svals[0], 1.0)
     if svals[0] <= tol:
         raise NonUniqueSteadyStateError(
@@ -205,12 +198,7 @@ def solve_steady(
             f"no periodic flux direction within tolerance (smallest singular value "
             f"{svals[1]:.3e} > {tol:.3e})"
         )
-    flux0 = vh[-1]
-
-    substeps = max(1, math.ceil(steps / n))
-    lattice = np.linspace(0.0, 1.0, 2 * substeps * n + 1)
-    mats = _coupling_matrices(b1, b2, sigma, lattice)
-    fluxes = _rk4_sweep(mats, flux0.copy(), 1.0 / (substeps * n), record_every=substeps)
+    fluxes = phis @ vh[-1]
 
     nodes = np.linspace(0.0, 1.0, n + 1)
     bv1 = np.asarray(evaluate(b1, nodes))

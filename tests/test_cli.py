@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twospeed.cli import main
+from twospeed.cli import load_config, main
 from twospeed.textio import read_csv_columns
 
 GT_CONFIG = """\
@@ -83,13 +84,36 @@ def test_unknown_key_is_config_error(tmp_path):
         ("spectral.t_grid[2]", "t_grid: [0.5, 1.0, 2.0]", "t_grid: [0.5, 1.0, .inf]"),
         ("fields.sigma.value", "grid:", "  sigma: {kind: constant, value: .inf}\ngrid:"),
         ("fields.sigma", "grid:", "  sigma: {kind: tabulated, x: [0.0, 1.0], v: [1.0, .nan]}\ngrid:"),
+        ("spectral.coarse_points", "coarse_points: 96", "coarse_points: 8"),
+        ("spectral.lambda_max", "refine_depth: 25", "refine_depth: 25\n  lambda_max: -1.0"),
+        ("lemma.points", "points: 16", "points: 4"),
     ],
 )
 def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting, old, new):
     path = tmp_path / "broken.yaml"
     path.write_text(GT_CONFIG.format(out=tmp_path / "out").replace(old, new))
-    assert main(_args(path, "validate")) == 1
+    assert main(_args(path, "report")) == 1
     assert setting in capsys.readouterr().err
+    # Rejected while loading the config, before any stage writes output.
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_readme_configuration_lists_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "readme.yaml").write_text(block)
+    listed = load_config(tmp_path / "readme.yaml")
+    (tmp_path / "minimal.yaml").write_text(
+        "fields:\n  b1: {kind: constant, value: 1.0}\n  b2: {kind: constant, value: -1.0}\ngrid: {n: 64}\n"
+    )
+    defaults = load_config(tmp_path / "minimal.yaml")
+    for name in (
+        "evolve_T", "evolve_dt", "scheme", "observe_every", "snapshot_every", "initial",
+        "lambda_max", "coarse_points", "refine_depth", "t_grid",
+        "lemma_psi", "lemma_lambda_min", "lemma_lambda_max", "lemma_points",
+    ):
+        assert getattr(listed, name) == getattr(defaults, name), name
 
 
 @pytest.mark.parametrize("command", ["evolve", "report"])

@@ -9,6 +9,7 @@ from twospeed.errors import (
     InsufficientDataError,
     NonuniformSamplingError,
 )
+from twospeed.evolution import CFL_DEFAULT
 from twospeed.space import deflate_to_mean_zero, norm, total_mass
 
 
@@ -38,6 +39,21 @@ def test_cfl_violation_raises(gen_gt_64):
             dt=10.0 * gen_gt_64.grid.h,
             scheme="explicit-rk4",
         )
+
+
+def test_cfl_bound_counts_the_cross_section(gt_fields):
+    # At sigma = 60 the old speed-only limit dt = 0.9 h / |b| let RK4 blow
+    # up to 1e68 in 200 steps; the limit from the diagonal refuses it.
+    b1, b2, _ = gt_fields
+    gen = ts.assemble(b1, b2, ts.FieldSpec.constant(60.0), ts.Grid(64))
+    p0 = ts.steady_plus_mode(gen, 1, 0.01)
+    dt = 0.9 * gen.grid.h
+    with pytest.raises(ConfigurationError):
+        ts.evolve(gen, p0, T=200 * dt, dt=dt, scheme="explicit-rk4")
+    limit = CFL_DEFAULT / np.abs(gen.operator.diagonal()).max()
+    series = ts.evolve(gen, p0, T=200 * limit, dt=limit, scheme="explicit-rk4", observe_every=10)
+    assert np.diff(series.entropy).max() <= 1e-10 * series.entropy[0]
+    assert series.deviation[-1] < series.deviation[0]
 
 
 def test_negative_snapshot_every_raises(gen_gt_64):

@@ -135,13 +135,14 @@ def test_validate_sign_change_is_degenerate():
     assert rep.sign == 0
 
 
-def test_failure_persists_under_grid_refinement():
+def test_failure_persists_under_grid_refinement(monkeypatch):
     # The affine field vanishes exactly at x = 0.5, which is a grid
     # point of every refinement that contains the coarse grid.
     b1 = ts.FieldSpec.affine(-0.5, 1.0)
     b2 = ts.FieldSpec.constant(1.0)
     for samples in (9, 17, 33, 4097):
-        assert not ts.validate_transport_fields(b1, b2, samples=samples).passed
+        monkeypatch.setattr("twospeed.fields.DEFAULT_SAMPLES", samples)
+        assert not ts.validate_transport_fields(b1, b2).passed
 
 
 def test_cross_section_everywhere_simultaneous(gt_fields):

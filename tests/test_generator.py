@@ -209,6 +209,17 @@ def test_zero_cross_section_is_defective(b2, sigma, defective, n):
         assert gen.grid.h * gen.steady.sum() == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.0, -1e-12, -8.85e-148, -1e-300])
+def test_tiny_speeds_are_defective(c, capfd):
+    # b1 = 0 and b2 = c cos(2 pi x) leave a kernel that is many-dimensional
+    # to working precision; a Lanczos run on it overflowed, and LAPACK
+    # printed to stderr, for c = -8.85e-148 and -1e-300.
+    b2 = ts.FieldSpec.trigonometric(0.0, 0.0, c)
+    with pytest.raises(DefectiveGeneratorError):
+        ts.assemble(ts.FieldSpec.constant(0.0), b2, ts.FieldSpec.constant(1.0), ts.Grid(8))
+    assert capfd.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("n", [16, 64, 256, 1024])
 @pytest.mark.parametrize("sigma", [1e-3, 1.0])
 def test_kernel_sigma_min_is_twice_the_cross_section(gt_fields, sigma, n):

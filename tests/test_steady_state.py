@@ -23,9 +23,10 @@ def test_goldstein_taylor_fundamental_matrix_closed_form(gt_fields):
     assert np.abs(phi1 - np.array([[0.0, -1.0], [1.0, 2.0]])).max() < 1e-8
 
 
-def test_column_sums_are_conserved(variant_fields):
+def test_column_sums_are_conserved(variant_fields, monkeypatch):
+    monkeypatch.setattr("twospeed.steady_state.DEFAULT_STEPS", 512)
     for x in (0.1, 0.37, 0.83, 1.0):
-        phi = ts.fundamental_matrix(*variant_fields, x, steps=512)
+        phi = ts.fundamental_matrix(*variant_fields, x)
         assert np.abs(phi.sum(axis=0) - 1.0).max() < 1e-12
 
 
@@ -106,9 +107,10 @@ def test_steady_invariants(variant_fields):
     assert abs(w @ (ss.p1 + ss.p2) - 1.0) < 1e-12
 
 
-def test_step_doubling_invariance(variant_fields):
-    a = ts.solve_steady(*variant_fields, 64, steps=4096)
-    b = ts.solve_steady(*variant_fields, 64, steps=8192)
+def test_step_doubling_invariance(variant_fields, monkeypatch):
+    a = ts.solve_steady(*variant_fields, 64)
+    monkeypatch.setattr("twospeed.steady_state.DEFAULT_STEPS", 2 * DEFAULT_STEPS)
+    b = ts.solve_steady(*variant_fields, 64)
     assert np.abs(a.p1 - b.p1).max() < 1e-12
     assert np.abs(a.p2 - b.p2).max() < 1e-12
 
