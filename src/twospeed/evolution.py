@@ -147,7 +147,7 @@ def evolve(
         ``snapshot_every``, an unknown scheme, or a CFL violation with
         the explicit scheme.
     DivergenceError
-        If the state stops being finite.
+        If the state or one of its observers stops being finite.
     """
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ConfigurationError(f"time step must be positive and finite, got {dt!r}")
@@ -188,9 +188,13 @@ def evolve(
     snapshots = []
 
     def record(step: int) -> None:
-        if not np.all(np.isfinite(p)):
-            raise DivergenceError(f"non-finite state at step {step}")
-        mass, ent, diss, dev = _observe(gen, p)
+        # A finite state can still overflow the quadratic observers, and a
+        # non-finite state makes the deviation non-finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            observed = _observe(gen, p)
+        if not np.all(np.isfinite(observed)):
+            raise DivergenceError(f"non-finite state or observer at step {step}")
+        mass, ent, diss, dev = observed
         times.append(step * dt)
         masses.append(mass)
         entropies.append(ent)

@@ -6,6 +6,7 @@ import pytest
 import twospeed as ts
 from twospeed.errors import (
     ConfigurationError,
+    DivergenceError,
     InsufficientDataError,
     NonuniformSamplingError,
 )
@@ -28,6 +29,15 @@ def test_mass_conserved_by_both_schemes(gen_gt_64):
     explicit = ts.evolve(gen_gt_64, p0, T=2.0, dt=cfl_dt, scheme="explicit-rk4", observe_every=64)
     assert np.abs(implicit.mass - implicit.mass[0]).max() < 1e-12
     assert np.abs(explicit.mass - explicit.mass[0]).max() < 1e-12
+
+
+def test_overflowing_observers_raise(variant_fields):
+    # The state stays finite, but the squares in its entropy and
+    # deviation overflow.
+    gen = ts.assemble(*variant_fields, ts.Grid(16))
+    p0 = gen.state(1e160 * gen.steady1, -1e160 * gen.steady2)
+    with pytest.raises(DivergenceError, match="observer at step 0"):
+        ts.evolve(gen, p0, T=0.01, dt=1e-3, observe_every=5)
 
 
 def test_cfl_violation_raises(gen_gt_64):

@@ -192,11 +192,29 @@ assert np.array_equal(got, want), (got, want)
 """
 
 
-def test_import_loads_no_interpolation():
-    # A fresh interpreter: this process has scipy.interpolate loaded
-    # through other tests already.
+_PSI_PROBE = """
+import sys
+import twospeed
+c = twospeed.FieldSpec.constant
+gen = twospeed.assemble(c(1.0), twospeed.FieldSpec.trigonometric(-1.0, 0.4), c(1.0), twospeed.Grid(16))
+twospeed.psi_sweep(gen, coarse_points=16)
+assert "scipy.optimize" not in sys.modules
+"""
+
+
+def _run_fresh(source: str) -> None:
+    # A fresh interpreter: this process has scipy.interpolate and
+    # scipy.optimize loaded through other tests already.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True
-    )
+    result = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_import_loads_no_interpolation():
+    _run_fresh(_IMPORT_PROBE)
+
+
+def test_psi_sweep_loads_no_optimizer():
+    # The psi polish is hand-written: importing scipy.optimize would add
+    # about a quarter of a second and 15 MB to every run's start-up.
+    _run_fresh(_PSI_PROBE)

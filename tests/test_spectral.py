@@ -162,10 +162,33 @@ def test_psi_certificate_ignores_sweep_range(gen_variant_64):
     assert short.psi_hat <= abs(ts.spectrum(gen_variant_64).x0_abscissa)
 
 
-def test_psi_iteration_cap_raises(gen_variant_64):
-    # The first level comes from samples, so one iteration cannot certify it.
-    with pytest.raises(NumericalError):
+@pytest.mark.parametrize("fixture", ["gen_variant_64", "gen_variant_128"])
+def test_psi_certificate_takes_one_hamiltonian(fixture, request, monkeypatch):
+    # The polished first level lies below the minimum of sigma_min, so its
+    # Hamiltonian certifies: one eigensolve of side 4n - 2, on the dense
+    # route (n = 64) and on the sparse one (n = 128).
+    gen = request.getfixturevalue(fixture)
+    eigvals = scipy.linalg.eigvals
+    sides = []
+
+    def counted(matrix, *args, **kwargs):
+        sides.append(matrix.shape[0])
+        return eigvals(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(twospeed.spectral.scipy.linalg, "eigvals", counted)
+    est = ts.psi_sweep(gen, coarse_points=128)
+    assert est.refinement_depth == 1
+    assert sides.count(2 * gen.size - 2) == 1
+
+
+def test_psi_iteration_cap_raises(gen_variant_64, monkeypatch):
+    # Unpolished, the first level is the smallest raw sample, which lies
+    # above the minimum: its Hamiltonian finds crossings, so one iteration
+    # cannot certify it and a second one does.
+    monkeypatch.setattr(twospeed.spectral, "_polish_best", lambda sig_min, points, sigmas: (points, sigmas))
+    with pytest.raises(NumericalError, match="in 1 iterations"):
         ts.psi_sweep(gen_variant_64, coarse_points=16, refine_depth=1)
+    assert ts.psi_sweep(gen_variant_64, coarse_points=16, refine_depth=2).refinement_depth == 2
 
 
 def test_psi_certificate_is_tight_lower_bound():
@@ -363,6 +386,27 @@ def test_semigroup_bound_and_contraction(gen_gt_128):
     assert report.norms[0] <= np.exp(np.pi / 2)
     assert (np.diff(report.norms) <= 1e-12).all()
     assert (report.margins > 0.0).all()
+
+
+@pytest.mark.parametrize("t_grid, expm_calls", [([0.5, 1.0, 2.0, 4.0], 1), ([0.3, 0.7, 1.1], 3)])
+def test_semigroup_norms_match_direct_exponentials(gen_variant_64, monkeypatch, t_grid, expm_calls):
+    # Each propagator is the step exponential times the previous one; a
+    # step that equals an earlier grid time reuses that time's propagator,
+    # so the doubling README grid needs a single exponential.
+    s0 = restricted_operator(gen_variant_64)
+    expm = scipy.linalg.expm
+    direct = [scipy.linalg.svdvals(expm(t * s0))[0] for t in t_grid]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expm(*args, **kwargs)
+
+    monkeypatch.setattr(twospeed.spectral.scipy.linalg, "expm", counted)
+    est = ts.PsiEstimate(np.zeros(16), np.ones(16), 1.0, 0.0, 20.0, 1)
+    report = ts.semigroup_bound_check(gen_variant_64, est, t_grid)
+    assert len(calls) == expm_calls
+    np.testing.assert_allclose(report.norms, direct, rtol=1e-12, atol=0.0)
 
 
 def test_semigroup_t_grid_validation(gen_gt_64):
