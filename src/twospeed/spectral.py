@@ -56,6 +56,21 @@ route of pseudospectra codes: Trefethen, Acta Numerica 1999; Wright &
 Trefethen, EigTool, 2002), in :func:`twospeed.generator.bordered_sigma_min`,
 which ``assemble`` also runs on ``A`` for its kernel verdict.
 
+On the sparse route the ``sigma_min`` points that do not depend on each
+other, the coarse grid with the rightmost-eigenvalue seeds and then
+each iteration's crossings and midpoints, are split over the CPUs of
+the affinity mask (:func:`_sigma_min_batch`), as pseudospectra codes
+split their grids over processors (Trefethen 1999).  The calling
+process takes one interleaved share and a ``fork``ed child each other
+share; with one CPU, or without ``fork``, the whole batch runs
+in-process.  A point's value depends on its ``lambda`` alone (its own
+LU and a fixed Lanczos start), so it is the same bit for bit wherever
+it runs.  SuperLU and ARPACK hold the GIL, so threads would not run the
+points side by side.  The dense route stays in one process: its SVDs
+run on the threaded BLAS, and forked copies of it would compete for the
+same cores (with two OpenBLAS threads on two CPUs a split sweep took
+twice as long at ``n = 64``).
+
 A positive gap ``psi`` feeds the semigroup bound
 
     || exp(t S) restricted to the mean-zero subspace ||
@@ -68,6 +83,9 @@ exponential per new time step.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from math import pi
 
@@ -324,6 +342,80 @@ def _polish_best(sig_min, points: np.ndarray, sigmas: np.ndarray):
     return np.concatenate([points, new_points]), np.concatenate([sigmas, new_sigmas])
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on; 1 where ``fork`` or the affinity mask is unavailable."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _sigma_min_batch(sig_min, lams: np.ndarray, workers: int) -> np.ndarray:
+    """``[sig_min(lam) for lam in lams]``, split over forked worker processes.
+
+    ``workers`` is cut to one per point; with ``k`` of them share ``j``
+    is ``lams[j::k]``, interleaved because the points above ``||S0||``
+    converge slowest and a contiguous block would hold most of them.
+    The calling process evaluates share 0 and a ``fork``ed child
+    each other share, so every point runs the same code on the same
+    inputs; with one worker that is the whole batch, in-process.  A
+    child sends its values, or the exception it raised, through a pipe
+    as a pickle and leaves by ``os._exit``, so it never flushes the
+    parent's buffers or runs its exit handlers.  A child that dies
+    without a result raises :class:`NumericalError`.  Whether this
+    returns or raises, every child has been reaped; on an error the
+    children still running are killed first.
+    """
+    workers = max(1, min(workers, len(lams)))
+
+    def share(j: int) -> np.ndarray:
+        return np.array([sig_min(lam) for lam in lams[j::workers]], dtype=float)
+
+    values = np.empty(len(lams))
+    pending = {}  # pid -> (share, read end of its pipe)
+    try:
+        for j in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the worker never returns into the caller's code
+                code = 1
+                try:
+                    try:
+                        result = share(j)
+                    except Exception as exc:
+                        result = exc
+                    with open(write, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            pending[pid] = (j, read)
+        values[0::workers] = share(0)
+        for pid, (j, read) in list(pending.items()):
+            with open(read, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pending[pid]
+            os.close(read)
+            if code != 0:
+                raise NumericalError(f"sigma_min worker {pid} exited with status {code}")
+            result = pickle.loads(payload)
+            if isinstance(result, BaseException):
+                raise result
+            values[j::workers] = result
+    finally:
+        for pid, (_, read) in pending.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    return values
+
+
 def psi_sweep(
     gen: GeneratorMatrix,
     lambda_max: float = 0.0,
@@ -362,7 +454,13 @@ def psi_sweep(
     crossings and midpoints - takes the route of the module docstring: a
     dense SVD below :data:`SPARSE_SIGMA_MIN_SIDE` (n < 96), otherwise
     :func:`sparse_sigma_min`.  The two agree to about 1e-14 relative.
-    The eigenvalues of ``S0`` and of ``H(gamma)`` are dense solves.
+    On the sparse route three batches of independent points are split
+    over forked workers by :func:`_sigma_min_batch`: the grid with the
+    seeds, the crossings, and the midpoints between genuine ones.  Their
+    values, and so every field of the result, are bit-identical to a
+    serial sweep.  The polish is sequential and runs in the calling
+    process.  The eigenvalues of ``S0`` and of ``H(gamma)`` are dense
+    solves.
     """
     _check_cap(gen)
     if lambda_max == 0.0:
@@ -383,7 +481,10 @@ def psi_sweep(
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalError(f"SVD failed at lambda = {lam}: {exc}") from exc
 
-    sig_min = sparse_sigma_min(gen) if gen.size >= SPARSE_SIGMA_MIN_SIDE else dense_sig_min
+    if gen.size >= SPARSE_SIGMA_MIN_SIDE:
+        sig_min, workers = sparse_sigma_min(gen), _worker_count()
+    else:
+        sig_min, workers = dense_sig_min, 1
 
     def eigvals(matrix: np.ndarray) -> np.ndarray:
         try:
@@ -391,15 +492,14 @@ def psi_sweep(
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalError(f"dense eigensolver failed: {exc}") from exc
 
-    grid = np.linspace(0.0, lambda_max, coarse_points)
-    values = np.array([sig_min(lam) for lam in grid])
-
     # sigma_min at lambda = Im mu is at most |Re mu|, so the rightmost
     # eigenvalues give a starting level close to the infimum.
     mu = eigvals(s0)
     seeds = np.unique(np.abs(mu[np.argsort(mu.real)[-8:]].imag))
+    grid = np.linspace(0.0, lambda_max, coarse_points)
     points = np.concatenate([grid, seeds])
-    sigmas = np.concatenate([values, [sig_min(w) for w in seeds]])
+    sigmas = _sigma_min_batch(sig_min, points, workers)
+    values = sigmas[: len(grid)]
     axis_tol = RANK_TOL * max(gen.operator_scale(), 1.0)
     for depth in range(1, refine_depth + 1):
         points, sigmas = _polish_best(sig_min, points, sigmas)
@@ -409,7 +509,7 @@ def psi_sweep(
         ham = np.block([[s0, -level * eye], [level * eye, -s0.T]])
         vals = eigvals(ham)
         crossings = np.unique(np.abs(vals[np.abs(vals.real) <= axis_tol].imag))
-        at_crossings = np.array([sig_min(w) for w in crossings])
+        at_crossings = _sigma_min_batch(sig_min, crossings, workers)
         genuine = at_crossings < gamma
         if not genuine.any():
             return PsiEstimate(grid, values, level, argmin, float(lambda_max), depth)
@@ -418,7 +518,7 @@ def psi_sweep(
         crossings = crossings[genuine]
         mids = 0.5 * (crossings[1:] + crossings[:-1])
         points = np.concatenate([points, crossings, mids])
-        sigmas = np.concatenate([sigmas, at_crossings[genuine], [sig_min(w) for w in mids]])
+        sigmas = np.concatenate([sigmas, at_crossings[genuine], _sigma_min_batch(sig_min, mids, workers)])
     raise NumericalError(
         f"level-set iteration found no certificate for psi in {refine_depth} iterations; "
         f"last level {level:.6g} still meets sigma_min on the imaginary axis"

@@ -163,6 +163,34 @@ def test_banded_hermitian_abscissa_matches_dense(b1, b2, sigma, n):
     assert abs(ts.hermitian_abscissa(gen) - dense) <= 1e-13 * gen.operator_scale()
 
 
+def one_signed(low, high):
+    """``a + r sin(2 pi x + phase)``, ``a`` in ``[low, high]``, ``r <= 0.8 |a|``: of one sign."""
+
+    def field(a, ratio, phase):
+        r = ratio * abs(a)
+        return ts.FieldSpec.trigonometric(a, r * np.cos(phase), r * np.sin(phase))
+
+    return st.builds(field, st.floats(low, high), st.floats(0.0, 0.8), st.floats(0.0, 2.0 * np.pi))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    b1=one_signed(0.3, 2.0),
+    b2=st.one_of(one_signed(-2.0, -0.3), one_signed(0.3, 2.0)),
+    sigma=one_signed(0.1, 2.0),
+    n=st.integers(8, 64),
+)
+def test_admissible_fields_give_a_conservative_generator(b1, b2, sigma, n):
+    # Over random admissible fields: zero column sums, a positive steady
+    # state and a mass-conserving implicit-trapezoid run.
+    assume(ts.validate_cross_section_overlap(b1, b2, sigma).passed)
+    gen = ts.assemble(b1, b2, sigma, ts.Grid(n))
+    assert np.abs(gen.operator.sum(axis=0)).max() <= 1e-12 * gen.operator_scale()
+    assert gen.steady.min() > 0.0
+    series = ts.evolve(gen, ts.steady_plus_mode(gen, 1, 0.01), T=0.05, dt=0.01)
+    assert np.abs(series.mass - series.mass[0]).max() <= 1e-12
+
+
 def test_hermitian_abscissa_allocates_no_dense_matrix(variant_fields):
     # A dense symmetric part is 8 MB at n = 512; the band is 40 kB.
     gen = ts.assemble(*variant_fields, ts.Grid(512))

@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -351,6 +357,107 @@ def test_sparse_psi_sweep_matches_dense_svd(gen_variant_128):
         dense = scipy.linalg.svdvals(s0 - 1j * est.lambda_grid[i] * eye)[-1]
         assert est.sigma_min_values[i] == pytest.approx(dense, rel=1e-12), f"point {i}"
     assert est.psi_hat <= abs(ts.spectrum(gen_variant_128).x0_abscissa)
+
+
+def assert_no_child_processes():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", [96, 128])
+def test_psi_sweep_split_is_bit_identical(variant_fields, monkeypatch, n):
+    # Every point is computed from the same inputs in a fresh LU, in a
+    # forked worker or not: the real CPU count, one CPU (in-process) and
+    # three workers give the serial values bit for bit.
+    gen = ts.assemble(*variant_fields, ts.Grid(n))
+    assert gen.size >= SPARSE_SIGMA_MIN_SIDE
+    real = ts.psi_sweep(gen, coarse_points=128)
+    sig_min = sparse_sigma_min(gen)
+    serial = np.array([sig_min(lam) for lam in real.lambda_grid])
+    assert np.array_equal(real.sigma_min_values, serial)
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        est = ts.psi_sweep(gen, coarse_points=128)
+        assert np.array_equal(est.sigma_min_values, serial), cpus
+        assert (est.psi_hat, est.argmin_lambda) == (real.psi_hat, real.argmin_lambda), cpus
+    assert_no_child_processes()
+
+
+def raise_numerical_error():
+    raise NumericalError("injected in a worker")
+
+
+@pytest.mark.parametrize(
+    "fault, match",
+    [
+        (raise_numerical_error, "injected in a worker"),
+        (lambda: os._exit(1), "exited with status 1"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"exited with status -{int(signal.SIGKILL)}"),
+    ],
+    ids=["numerical-error", "exit", "killed"],
+)
+def test_psi_sweep_worker_failure_raises_numerical_error(variant_fields, monkeypatch, fault, match):
+    # Every sigma_min of a forked worker calls fault(); the caller's own
+    # share runs as usual.
+    gen = ts.assemble(*variant_fields, ts.Grid(96))
+    parent = os.getpid()
+
+    def patched(operator, u):
+        at = bordered_sigma_min(operator, u)
+
+        def faulty(lam, floor=0.0):
+            if os.getpid() != parent:
+                fault()
+            return at(lam, floor)
+
+        return faulty
+
+    monkeypatch.setattr(twospeed.spectral, "bordered_sigma_min", patched)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(NumericalError, match=match):
+        ts.psi_sweep(gen, coarse_points=16)
+    assert_no_child_processes()
+
+
+def test_psi_sweep_failure_in_the_caller_reaps_its_workers(variant_fields):
+    # The caller's own share fails while its workers still run: they are
+    # killed, not waited for, and reaped before the error reaches the caller.
+    gen = ts.assemble(*variant_fields, ts.Grid(96))
+    parent = os.getpid()
+    sig_min = sparse_sigma_min(gen)
+
+    def stall_or_fail(lam):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        raise NumericalError("injected in the caller")
+
+    start = time.monotonic()
+    with pytest.raises(NumericalError, match="injected in the caller"):
+        twospeed.spectral._sigma_min_batch(stall_or_fail, np.linspace(0.0, 1.0, 6), 3)
+    assert time.monotonic() - start < 30.0
+    assert_no_child_processes()
+    lams = np.array([0.5, 1.5])
+    assert np.array_equal(twospeed.spectral._sigma_min_batch(sig_min, lams, 3), [sig_min(0.5), sig_min(1.5)])
+    assert_no_child_processes()
+
+
+def test_psi_sweep_workers_leave_the_parent_buffers_alone():
+    # A worker leaves by os._exit: the text still buffered in the parent's
+    # stdout and its atexit handler each come out once, from the parent.
+    source = (
+        "import atexit, os, sys\n"
+        "import twospeed as ts\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "atexit.register(print, 'atexit')\n"
+        "fields = (ts.FieldSpec.constant(1.0), ts.FieldSpec.trigonometric(-1.0, 0.4), ts.FieldSpec.constant(1.0))\n"
+        "gen = ts.assemble(*fields, ts.Grid(96))\n"
+        "sys.stdout.write('buffered ')\n"
+        "ts.psi_sweep(gen, coarse_points=16)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "buffered atexit\n", "")
 
 
 def test_psi_sweep_validates_arguments(gen_gt_64):
