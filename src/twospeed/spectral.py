@@ -18,33 +18,38 @@ eigenvector matrix is formed.
 
 The mean-zero subspace is the orthogonal complement of the unit vector
 ``z0 = sqrt(h * v)`` (:func:`mean_zero_direction`, the one ``z0`` of
-every stage); it is invariant under ``S`` because the columns of the
-generator sum to zero, and ``S z0 = 0``.  Restricting to an orthonormal
-basis ``Q`` of that complement deflates the zero mode exactly, and with
-``S0 = Q^T S Q``
+every stage), a right and left null vector of ``S`` as the columns of
+the generator sum to zero.  So Hotelling's rank-one deflation
+``S_c = S + c z0 z0^T`` (:func:`restricted_operator`) is block
+diagonal: ``S0``, ``S`` on the complement, and ``c`` on ``z0``.  With
+``beta >= ||S0||_2`` (:func:`default_lambda_max`) and
+``c^2 >= beta^2 + 2 beta |lambda|``, the block's singular value
+``|c - i lambda| >= beta + |lambda| >= sigma_min(S0 - i lambda)``
+(Weyl) is never the smallest, so
 
-    sigma_min( S0 - i lambda )
+    sigma_min( S0 - i lambda ) = sigma_min( S_c - i lambda )
 
 is the distance-to-singularity of the shifted generator on the
 mean-zero subspace.  The resolvent gap ``psi`` is its infimum over all
 real ``lambda``.  It is certified by the level-set iteration of Byers
 (SIAM J. Sci. Stat. Comput. 1988) in the form of Boyd & Balakrishnan
 (Syst. Control Lett. 1990): ``g`` is a singular value of
-``S0 - i w`` for a real ``w`` exactly when the Hamiltonian matrix
+``S_c - i w`` for a real ``w`` exactly when the Hamiltonian matrix
 
-    H(g) = [[S0, -g I], [g I, -S0^T]]
+    H(g) = [[S_c, -g I], [g I, -S_c^T]]
 
-has the eigenvalue ``i w``.  If ``H(g)`` has no eigenvalue on the
-imaginary axis, the continuous function ``sigma_min(S0 - i lambda)``,
-which grows like ``|lambda|``, never meets ``g``, so ``g`` is a lower
-bound on all of R.  The dense eigensolve of ``H``, of side ``4n - 2``,
-is the certificate's cost, so the level it tests is first polished to
-a local minimum of the samples (:func:`psi_sweep`): set just below that
-minimum, one Hamiltonian certifies.
+has the eigenvalue ``i w``; the block ``c`` adds the pair
+``+-sqrt(c^2 - g^2)``, real as ``g <= beta < |c|``.  If ``H(g)`` has no
+eigenvalue on the imaginary axis, the continuous function
+``sigma_min(S0 - i lambda)``, which grows like ``|lambda|``, never meets
+``g``, so ``g`` is a lower bound on all of R.  The dense eigensolve of
+``H``, of side ``4n``, is the certificate's cost, so the level it tests
+is first polished to a local minimum of the samples (:func:`psi_sweep`):
+set just below that minimum, one Hamiltonian certifies.
 
 ``sigma_min`` itself comes from one of two routes, picked by the
 matrix side ``2n`` (:data:`SPARSE_SIGMA_MIN_SIDE`).  Small matrices take
-the last singular value of the dense ``S0 - i lambda``.  Large ones work
+the last singular value of the dense ``S_c - i lambda``.  Large ones work
 on ``S`` itself, which keeps the generator's at most four non-zeros per
 column: since ``z0^T S = 0``, one sparse LU of the bordered matrix
 
@@ -57,19 +62,15 @@ Trefethen, EigTool, 2002), in :func:`twospeed.generator.bordered_sigma_min`,
 which ``assemble`` also runs on ``A`` for its kernel verdict.
 
 On the sparse route the ``sigma_min`` points that do not depend on each
-other, the coarse grid with the rightmost-eigenvalue seeds and then
-each iteration's crossings and midpoints, are split over the CPUs of
-the affinity mask (:func:`_sigma_min_batch`), as pseudospectra codes
-split their grids over processors (Trefethen 1999).  The calling
-process takes one interleaved share and a ``fork``ed child each other
-share; with one CPU, or without ``fork``, the whole batch runs
-in-process.  A point's value depends on its ``lambda`` alone (its own
-LU and a fixed Lanczos start), so it is the same bit for bit wherever
-it runs.  SuperLU and ARPACK hold the GIL, so threads would not run the
-points side by side.  The dense route stays in one process: its SVDs
-run on the threaded BLAS, and forked copies of it would compete for the
-same cores (with two OpenBLAS threads on two CPUs a split sweep took
-twice as long at ``n = 64``).
+other are split over the CPUs of the affinity mask by ``fork``ed workers
+(:func:`_sigma_min_batch`), as pseudospectra codes split their grids
+over processors (Trefethen 1999); SuperLU and ARPACK hold the GIL, so
+threads would not run them side by side.  A point's value depends on
+its ``lambda`` alone (its own LU and a fixed Lanczos start), so it is
+the same bit for bit wherever it runs.  The dense route stays in one
+process: its SVDs run on the threaded BLAS, and forked copies would
+compete for the same cores (with two OpenBLAS threads on two CPUs a
+split sweep took twice as long at ``n = 64``).
 
 A positive gap ``psi`` feeds the semigroup bound
 
@@ -77,8 +78,9 @@ A positive gap ``psi`` feeds the semigroup bound
         <= exp(-t * psi + pi/2),
 
 which :func:`semigroup_bound_check` verifies pointwise on a time grid
-with the dense matrix exponential, one product per grid time and one
-exponential per new time step.
+with the dense matrix exponential of ``S_c``, one product per grid time
+and one exponential per new time step.  Its norm is that of
+``exp(t S0)``, as ``exp(c t) <= exp(-beta t) <= ||exp(t S0)||``.
 """
 
 from __future__ import annotations
@@ -182,15 +184,23 @@ def mean_zero_direction(gen: GeneratorMatrix) -> np.ndarray:
     return np.sqrt(gen.grid.h * gen.steady)
 
 
-def mean_zero_basis(gen: GeneratorMatrix) -> np.ndarray:
-    """Orthonormal basis (columns) of the mean-zero subspace."""
-    return scipy.linalg.null_space(mean_zero_direction(gen)[None, :])
+def restricted_operator(gen: GeneratorMatrix, lambda_max: float) -> np.ndarray:
+    """Dense ``S_c = S + c z0 z0^T`` with ``c = -(beta + L)``, ``beta`` = :func:`default_lambda_max`.
 
-
-def restricted_operator(gen: GeneratorMatrix) -> np.ndarray:
-    """The similarity transform compressed to the mean-zero subspace."""
-    q = mean_zero_basis(gen)
-    return q.T @ symmetrized(gen) @ q
+    ``L = max(lambda_max, 2 beta)`` bounds every ``|lambda|`` a stage
+    probes: the grid, the seeds (``<= ||S0||_2``) and the level-set
+    crossings (``<= ||S0||_2 + gamma <= 2 beta``).  The shift meets the
+    conditions of the module docstring there; a range that is not finite
+    raises :class:`NumericalError`.
+    """
+    _check_cap(gen)
+    bound = default_lambda_max(gen)
+    reach = max(lambda_max, 2.0 * bound)
+    c = -(bound + reach)
+    if not (np.isfinite(c) and c < -bound and c * c >= bound * (bound + 2.0 * reach)):
+        raise NumericalError(f"deflation shift {c!r} does not cover lambda_max = {lambda_max!r}")
+    z0 = mean_zero_direction(gen)
+    return symmetrized(gen) + c * np.outer(z0, z0)
 
 
 def sparse_sigma_min(gen: GeneratorMatrix):
@@ -279,18 +289,20 @@ def default_lambda_max(gen: GeneratorMatrix) -> float:
 def _polish_best(sig_min, points: np.ndarray, sigmas: np.ndarray):
     """Add samples that polish the smallest one to a local minimum of ``sig_min``.
 
-    The bracket is the pair of samples next to the smallest one (that
-    sample itself at either end of the samples), and the search in it is
-    Brent's safeguarded minimiser (Algorithms for Minimization without
-    Derivatives, 1973, ch. 5): a parabola through the three best points
-    when its step is trusted, a golden-section step otherwise.  It stops
-    when the minimiser is known to ``sqrt(eps) (|lambda| + sigma)``, where
-    the value is settled to rounding.  Every value it computes is
-    returned with the given samples; none is ever dropped.
+    The bracket is the pair of samples nearest the smallest one further
+    than the tolerance ``sqrt(eps) (|lambda| + sigma)`` from it (that
+    sample itself at either end), so a twin at rounding distance cannot
+    pin it shut.  The search in it is Brent's safeguarded minimiser
+    (Algorithms for Minimization without Derivatives, 1973, ch. 5): a
+    parabola through the three best points when its step is trusted, a
+    golden-section step otherwise, until the minimiser is known to that
+    tolerance, where the value is settled to rounding.  Every value it
+    computes is returned with the given samples; none is ever dropped.
     """
     best = int(np.argmin(sigmas))
     x, fx = float(points[best]), float(sigmas[best])
-    lower, upper = points[points < x], points[points > x]
+    tol = _POLISH_XTOL * (abs(x) + fx)
+    lower, upper = points[points < x - tol], points[points > x + tol]
     a = float(lower.max()) if len(lower) else x
     b = float(upper.min()) if len(upper) else x
     new_points, new_sigmas = [], []
@@ -422,47 +434,35 @@ def psi_sweep(
     coarse_points: int = COARSE_POINTS,
     refine_depth: int = REFINE_DEPTH,
 ) -> PsiEstimate:
-    """Certify the resolvent gap of the restricted operator ``S0``.
+    """Certify the resolvent gap ``psi`` of ``S0``.
 
-    ``sigma_min(S0 - i lambda)`` is sampled on a uniform coarse grid
-    over ``[0, lambda_max]`` for the ``psi_sweep.csv`` artifact;
-    ``lambda_max = 0`` selects :func:`default_lambda_max`, a certified
-    bound on ``||S0||_2``, beyond which Weyl gives
-    ``sigma_min >= lambda - lambda_max``.  The range only places the
-    samples: the certificate below holds on all of R whatever the range,
-    and an explicit ``lambda_max`` is used as given.  The grid values and
-    the values at the imaginary parts of the eight rightmost eigenvalues
-    are the first samples.  Each level-set iteration (at most
-    ``refine_depth``) first polishes the smallest sample to a local
-    minimum of ``sigma_min`` between its two neighbouring samples
-    (``_polish_best``, Brent's parabolic and golden-section search); the
-    smallest value computed so far is the level ``gamma``.  It then
-    finds the imaginary-axis eigenvalues ``i w`` of
-    ``H(gamma (1 - RANK_TOL))``, keeps the crossings ``w`` whose direct
-    ``sigma_min`` lies below ``gamma``, and adds the values at those
-    crossings and at the midpoints between consecutive ones to the
-    samples.  With no crossing left, ``gamma (1 - RANK_TOL)`` is the
-    certified ``psi_hat``; hitting the cap raises
-    :class:`NumericalError`.  The polish only chooses which computed
-    ``sigma_min`` becomes ``gamma``, so the certificate is the same
-    global one; it puts the first level below the minimum, and the
-    first Hamiltonian certifies on every field set measured (the GT and
-    variant fields and the benchmark's field box at ``n`` = 16 to 128)
-    after 6 to 13 polish evaluations of ``sigma_min``, mostly 7 or 8.
+    ``sigma_min(S0 - i lambda)`` is sampled on a uniform coarse grid over
+    ``[0, lambda_max]`` for the ``psi_sweep.csv`` artifact;
+    ``lambda_max = 0`` selects :func:`default_lambda_max`.  The range only
+    places the samples and sets the shift of ``S_c``
+    (:func:`restricted_operator`); an explicit one is used as given.  The
+    grid values and the values at the imaginary parts of the eight
+    rightmost eigenvalues of ``S_c`` are the first samples.  Each
+    level-set iteration (at most ``refine_depth``) polishes the smallest
+    sample to a local minimum of ``sigma_min`` (``_polish_best``); the
+    smallest value computed so far is the level ``gamma``.  It then finds
+    the imaginary-axis eigenvalues ``i w`` of ``H(gamma (1 - RANK_TOL))``,
+    keeps the crossings ``w`` whose direct ``sigma_min`` lies below
+    ``gamma``, and adds the values there and at the midpoints between
+    consecutive ones to the samples.  With no crossing left,
+    ``gamma (1 - RANK_TOL)`` is the certified ``psi_hat``, a lower bound
+    on all of R; hitting the cap raises :class:`NumericalError`.  The
+    polish only chooses which computed ``sigma_min`` becomes ``gamma``;
+    it puts the first level below the minimum, so one Hamiltonian
+    certifies on every field set measured (the GT and variant fields and
+    the benchmark's field box at ``n`` = 32 to 256).
 
-    Every ``sigma_min`` - coarse grid, rightmost-eigenvalue points,
-    crossings and midpoints - takes the route of the module docstring: a
-    dense SVD below :data:`SPARSE_SIGMA_MIN_SIDE` (n < 96), otherwise
-    :func:`sparse_sigma_min`.  The two agree to about 1e-14 relative.
-    On the sparse route three batches of independent points are split
-    over forked workers by :func:`_sigma_min_batch`: the grid with the
-    seeds, the crossings, and the midpoints between genuine ones.  Their
-    values, and so every field of the result, are bit-identical to a
-    serial sweep.  The polish is sequential and runs in the calling
-    process.  The eigenvalues of ``S0`` and of ``H(gamma)`` are dense
-    solves.
+    Every ``sigma_min`` takes the route of the module docstring.  On the
+    sparse route the grid with the seeds, the crossings, and the
+    midpoints between genuine ones are three batches for
+    :func:`_sigma_min_batch`, bit-identical to a serial sweep; the polish
+    runs in the calling process.
     """
-    _check_cap(gen)
     if lambda_max == 0.0:
         lambda_max = default_lambda_max(gen)
     if not (lambda_max > 0.0 and np.isfinite(lambda_max)):
@@ -472,12 +472,12 @@ def psi_sweep(
     if refine_depth < 1:
         raise ConfigurationError("refine_depth must be at least 1")
 
-    s0 = restricted_operator(gen)
-    eye = np.eye(s0.shape[0])
+    s_c = restricted_operator(gen, lambda_max)
+    eye = np.eye(s_c.shape[0])
 
     def dense_sig_min(lam: float) -> float:
         try:
-            return float(scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1])
+            return float(scipy.linalg.svdvals(s_c - 1j * lam * eye)[-1])
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalError(f"SVD failed at lambda = {lam}: {exc}") from exc
 
@@ -494,7 +494,7 @@ def psi_sweep(
 
     # sigma_min at lambda = Im mu is at most |Re mu|, so the rightmost
     # eigenvalues give a starting level close to the infimum.
-    mu = eigvals(s0)
+    mu = eigvals(s_c)
     seeds = np.unique(np.abs(mu[np.argsort(mu.real)[-8:]].imag))
     grid = np.linspace(0.0, lambda_max, coarse_points)
     points = np.concatenate([grid, seeds])
@@ -506,7 +506,7 @@ def psi_sweep(
         best = int(np.argmin(sigmas))
         gamma, argmin = float(sigmas[best]), float(points[best])
         level = gamma * (1.0 - RANK_TOL)
-        ham = np.block([[s0, -level * eye], [level * eye, -s0.T]])
+        ham = np.block([[s_c, -level * eye], [level * eye, -s_c.T]])
         vals = eigvals(ham)
         crossings = np.unique(np.abs(vals[np.abs(vals.real) <= axis_tol].imag))
         at_crossings = _sigma_min_batch(sig_min, crossings, workers)
@@ -528,17 +528,16 @@ def psi_sweep(
 def semigroup_bound_check(gen: GeneratorMatrix, psi: PsiEstimate, t_grid) -> SemigroupBoundReport:
     """Verify ``||exp(tA)|| <= exp(-t psi + pi/2)`` on the mean-zero subspace.
 
-    The operator norm is the largest singular value of the dense
-    propagator ``P(t) = exp(t S0)`` of the restricted operator.  The
-    propagators are built along the grid as
-    ``P(t_k) = exp((t_k - t_{k-1}) S0) P(t_{k-1})`` (``t_{-1} = 0``), and
+    The norm is the largest singular value of the dense propagator
+    ``P(t) = exp(t S_c)`` (:func:`restricted_operator` for the range
+    ``psi.lambda_max``), that of ``exp(t S0)``.  Along the grid
+    ``P(t_k) = exp((t_k - t_{k-1}) S_c) P(t_{k-1})`` (``t_{-1} = 0``), and
     a step equal to an earlier grid time ``t_j`` reuses ``P(t_j)``, so
     the doubling grid ``[0.5, 1, 2, 4]`` costs one matrix exponential
     (scaling-and-squaring with a Pade rational core) and three products.
     For a dissipative generator the norm is also non-increasing in
     ``t``; an overflow here signals a broken matrix.
     """
-    _check_cap(gen)
     times = np.asarray(t_grid, dtype=float)
     if (
         len(times) == 0
@@ -548,7 +547,7 @@ def semigroup_bound_check(gen: GeneratorMatrix, psi: PsiEstimate, t_grid) -> Sem
     ):
         raise ConfigurationError("t_grid must be finite, non-negative and strictly increasing")
 
-    s0 = restricted_operator(gen)
+    s_c = restricted_operator(gen, psi.lambda_max)
     norms = np.empty(len(times))
     increments = np.diff(times, prepend=0.0)
     reusable = {}  # P(t_j) for the grid times that a later increment equals
@@ -556,7 +555,7 @@ def semigroup_bound_check(gen: GeneratorMatrix, psi: PsiEstimate, t_grid) -> Sem
     for i, (t, dt) in enumerate(zip(times, increments)):
         step = reusable.get(dt)
         if step is None:
-            step = scipy.linalg.expm(dt * s0)
+            step = scipy.linalg.expm(dt * s_c)
         propagator = step if propagator is None else step @ propagator
         if not np.all(np.isfinite(propagator)):
             raise NumericalError(f"matrix exponential overflowed at t = {t}")

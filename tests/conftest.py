@@ -29,6 +29,11 @@ def gen_gt_64(gt_fields):
 
 
 @pytest.fixture(scope="session")
+def gen_gt_96(gt_fields):
+    return ts.assemble(*gt_fields, ts.Grid(96))
+
+
+@pytest.fixture(scope="session")
 def gen_gt_128(gt_fields):
     return ts.assemble(*gt_fields, ts.Grid(128))
 

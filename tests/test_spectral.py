@@ -16,16 +16,16 @@ from hypothesis import strategies as st
 import twospeed as ts
 import twospeed.spectral
 from twospeed.errors import ConfigurationError, NumericalError
-from twospeed.generator import bordered_sigma_min, sparse_symmetrized, symmetrized
+from twospeed.generator import RANK_TOL, bordered_sigma_min, sparse_symmetrized, symmetrized
 from twospeed.spectral import (
     SPARSE_SIGMA_MIN_SIDE,
     default_lambda_max,
-    mean_zero_basis,
     mean_zero_direction,
     restricted_operator,
     sparse_sigma_min,
 )
 
+from mean_zero_operator import mean_zero_operator
 from upwind_spectrum import goldstein_taylor_upwind_eigenvalues, transport_lambda_max
 
 
@@ -114,22 +114,10 @@ def test_dense_cap_enforced(gen_gt_64, monkeypatch):
         ts.semigroup_bound_check(gen_gt_64, est, [0.0, 1.0])
 
 
-def test_mean_zero_basis_is_orthonormal_and_invariant(gen_variant_64):
-    q = mean_zero_basis(gen_variant_64)
-    m = gen_variant_64.size
-    assert q.shape == (m, m - 1)
-    assert np.abs(q.T @ q - np.eye(m - 1)).max() < 1e-12
-    z0 = np.sqrt(gen_variant_64.grid.h * gen_variant_64.steady)
-    # the deflated direction is a left null vector, so S maps the
-    # complement into itself
-    s = symmetrized(gen_variant_64)
-    assert np.abs(z0 @ s).max() < 1e-10
-
-
 def test_sigma_min_bounded_by_eigenvalues(gen_gt_64):
     # Applying (A - i lambda) to a unit eigenvector bounds the smallest
     # singular value by |Re mu| at lambda = Im mu.
-    s0 = restricted_operator(gen_gt_64)
+    s0 = mean_zero_operator(gen_gt_64)
     vals = scipy.linalg.eigvals(s0)
     eye = np.eye(s0.shape[0])
     for mu in vals[np.argsort(np.abs(vals))[:6]]:
@@ -146,7 +134,7 @@ def test_psi_sweep_goldstein_taylor(gen_gt_128):
 
 
 def test_psi_sweep_mirror_symmetry(gen_gt_64):
-    s0 = restricted_operator(gen_gt_64)
+    s0 = mean_zero_operator(gen_gt_64)
     eye = np.eye(s0.shape[0])
     for lam in (0.7, 3.3, 12.0):
         plus = scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1]
@@ -168,11 +156,13 @@ def test_psi_certificate_ignores_sweep_range(gen_variant_64):
     assert short.psi_hat <= abs(ts.spectrum(gen_variant_64).x0_abscissa)
 
 
-@pytest.mark.parametrize("fixture", ["gen_variant_64", "gen_variant_128"])
+@pytest.mark.parametrize("fixture", ["gen_variant_64", "gen_variant_128", "gen_gt_96"])
 def test_psi_certificate_takes_one_hamiltonian(fixture, request, monkeypatch):
     # The polished first level lies below the minimum of sigma_min, so its
-    # Hamiltonian certifies: one eigensolve of side 4n - 2, on the dense
-    # route (n = 64) and on the sparse one (n = 128).
+    # Hamiltonian certifies: one eigensolve of side 4n, of the deflated
+    # S_c, on the dense route (n = 64) and on the sparse one (n = 96, 128).
+    # The GT fields hold each rightmost conjugate pair twice, so two seeds
+    # are twins at rounding distance that the polish must bracket past.
     gen = request.getfixturevalue(fixture)
     eigvals = scipy.linalg.eigvals
     sides = []
@@ -184,7 +174,7 @@ def test_psi_certificate_takes_one_hamiltonian(fixture, request, monkeypatch):
     monkeypatch.setattr(twospeed.spectral.scipy.linalg, "eigvals", counted)
     est = ts.psi_sweep(gen, coarse_points=128)
     assert est.refinement_depth == 1
-    assert sides.count(2 * gen.size - 2) == 1
+    assert sides.count(2 * gen.size) == 1
 
 
 def test_psi_iteration_cap_raises(gen_variant_64, monkeypatch):
@@ -195,6 +185,23 @@ def test_psi_iteration_cap_raises(gen_variant_64, monkeypatch):
     with pytest.raises(NumericalError, match="in 1 iterations"):
         ts.psi_sweep(gen_variant_64, coarse_points=16, refine_depth=1)
     assert ts.psi_sweep(gen_variant_64, coarse_points=16, refine_depth=2).refinement_depth == 2
+
+
+def test_polish_brackets_past_a_twin_of_the_smallest_sample():
+    # Seeds of a doubled eigenvalue pair differ at rounding, and so do
+    # their values. A twin between the smallest sample and the minimum
+    # must not close the bracket on that side.
+    def sig_min(lam):
+        return 0.5 + (lam - 1.3) ** 2
+
+    points = np.array([0.0, 1.0, np.nextafter(1.0, 2.0), 2.0, 3.0])
+    sigmas = np.array([sig_min(lam) for lam in points])
+    sigmas[2] = np.nextafter(sigmas[1], 1.0)
+    polished_points, polished = twospeed.spectral._polish_best(sig_min, points, sigmas)
+    assert np.array_equal(polished_points[:5], points) and np.array_equal(polished[:5], sigmas)
+    best = int(np.argmin(polished))
+    assert polished_points[best] == pytest.approx(1.3, abs=1e-6)
+    assert polished[best] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_psi_certificate_is_tight_lower_bound():
@@ -213,7 +220,7 @@ def test_psi_certificate_is_tight_lower_bound():
 
         # Beyond ||S0|| + psi_hat, sigma_min exceeds psi_hat; the finest
         # grid cell around the grid minimum is then polished by Brent.
-        s0 = restricted_operator(gen)
+        s0 = mean_zero_operator(gen)
         eye = np.eye(s0.shape[0])
 
         def sig_min(lam):
@@ -266,7 +273,7 @@ def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
     assert abs(np.linalg.norm(z0) - 1.0) <= 1e-13
     assert np.abs(s @ z0).max() <= tol
     assert np.abs(z0 @ s).max() <= tol
-    s0 = restricted_operator(gen)
+    s0 = mean_zero_operator(gen)
     eye = np.eye(s0.shape[0])
     mu = scipy.linalg.eigvals(s0)
     # 1e-15: next to lambda = 0, where S - i lambda alone is nearly singular.
@@ -280,6 +287,39 @@ def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
     q = scipy.linalg.null_space(u[None, :])
     dense = scipy.linalg.svdvals(q.T @ gen.matrix @ q)[-1]
     assert bordered_sigma_min(gen.operator, u)(0.0)[1] == pytest.approx(dense, rel=1e-8)
+
+    # The dense route's S_c = S + c z0 z0^T, formed for the widest range
+    # the tests probe: the spectrum of S0 and c, the same sigma_min on the
+    # grid and the same Hamiltonian crossings just above the gap.
+    lambda_max = transport_lambda_max(gen)
+    s_c = restricted_operator(gen, lambda_max)
+    shift = z0 @ s_c @ z0
+    beta = default_lambda_max(gen)
+    assert shift <= -beta and shift**2 >= beta**2 + 2.0 * beta * lambda_max
+    assert_same_points(scipy.linalg.eigvals(s_c), np.append(mu, shift), 1e-10 * gen.operator_scale())
+    est = ts.psi_sweep(gen, lambda_max=lambda_max, coarse_points=16)
+    for lam, value in zip(est.lambda_grid, est.sigma_min_values):
+        dense = scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1]
+        assert value == pytest.approx(dense, rel=1e-12), f"lambda = {lam}"
+    level = 1.05 * est.psi_hat
+    expected = hamiltonian_crossings(s0, level, gen.operator_scale())
+    assert len(expected) > 0
+    np.testing.assert_allclose(
+        hamiltonian_crossings(s_c, level, gen.operator_scale()), expected, rtol=0.0, atol=1e-12 * beta
+    )
+
+
+def assert_same_points(x, y, tol):
+    distance = np.abs(x[:, None] - y[None, :])
+    assert len(x) == len(y)
+    assert distance.min(axis=0).max() <= tol and distance.min(axis=1).max() <= tol
+
+
+def hamiltonian_crossings(op, level, scale):
+    """Sorted ``|w|`` of the imaginary-axis eigenvalues ``i w`` of ``H(level)``."""
+    eye = np.eye(len(op))
+    vals = scipy.linalg.eigvals(np.block([[op, -level * eye], [level * eye, -op.T]]))
+    return np.sort(np.abs(vals[np.abs(vals.real) <= RANK_TOL * max(scale, 1.0)].imag))
 
 
 @pytest.mark.parametrize(
@@ -310,7 +350,7 @@ def test_sparse_sigma_min_is_independent_of_earlier_points(b1, trig, sigma):
         ts.Grid(96),
     )
     assert gen.size == SPARSE_SIGMA_MIN_SIDE
-    s0 = restricted_operator(gen)
+    s0 = mean_zero_operator(gen)
     eye = np.eye(s0.shape[0])
     sig_min = sparse_sigma_min(gen)
     for lam in np.linspace(0.0, transport_lambda_max(gen), 128):
@@ -323,7 +363,7 @@ def test_sparse_sigma_min_is_independent_of_earlier_points(b1, trig, sigma):
 def test_default_lambda_max_bounds_the_operator_norm(b1, a, b, c, sigma, n):
     gen = box_generator(b1, a, b, c, sigma, n)
     bound = default_lambda_max(gen)
-    assert bound >= np.linalg.norm(restricted_operator(gen), 2)
+    assert bound >= np.linalg.norm(mean_zero_operator(gen), 2)
     assert bound >= np.linalg.norm(symmetrized(gen), 2)
 
 
@@ -351,7 +391,7 @@ def test_broken_norm_bound_raises_numerical_error(gen_gt_64, monkeypatch):
 def test_sparse_psi_sweep_matches_dense_svd(gen_variant_128):
     assert gen_variant_128.size >= SPARSE_SIGMA_MIN_SIDE
     est = ts.psi_sweep(gen_variant_128, coarse_points=128, refine_depth=30)
-    s0 = restricted_operator(gen_variant_128)
+    s0 = mean_zero_operator(gen_variant_128)
     eye = np.eye(s0.shape[0])
     for i in np.linspace(0, len(est.lambda_grid) - 1, 8).astype(int):
         dense = scipy.linalg.svdvals(s0 - 1j * est.lambda_grid[i] * eye)[-1]
@@ -500,7 +540,7 @@ def test_semigroup_norms_match_direct_exponentials(gen_variant_64, monkeypatch, 
     # Each propagator is the step exponential times the previous one; a
     # step that equals an earlier grid time reuses that time's propagator,
     # so the doubling README grid needs a single exponential.
-    s0 = restricted_operator(gen_variant_64)
+    s0 = mean_zero_operator(gen_variant_64)
     expm = scipy.linalg.expm
     direct = [scipy.linalg.svdvals(expm(t * s0))[0] for t in t_grid]
     calls = []
