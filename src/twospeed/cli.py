@@ -15,6 +15,21 @@ Subcommands
     consistency checks (fitted decay rate vs. resolvent gap vs. spectral
     abscissa, and the semigroup envelope along the recorded trajectory).
 
+    ``report`` runs the evolve and lemma stages, which read no other
+    stage's result, in a ``fork``ed child beside steady, spectrum and
+    psi (:func:`twospeed.forking._fork_map`).  The child calls
+    ``os.nice(19)``, so it takes the CPU that the rest of the report
+    leaves idle (the spectrum, the dense eigensolves, the polish) rather
+    than slow the psi sweep's ``sigma_min`` batches, which are on the
+    critical path.  It writes its CSVs itself and pipes back only what
+    the report reads.  Errors keep the order of a serial run: a failed
+    steady, spectrum or psi stage kills the child and raises; a failure
+    in the child raises once those stages have succeeded, evolve's
+    before lemma's.  A report that fails in steady, spectrum or psi may
+    therefore leave a partial ``timeseries.csv`` or ``lemma.csv``.  With
+    one CPU in the affinity mask every stage runs in-process in table
+    order.  The files are the same byte for byte either way.
+
 Every command but ``validate`` passes the same admissibility gate first.
 
 Exit codes: 0 success, 1 configuration error, 2 admissibility failure
@@ -42,6 +57,7 @@ import yaml
 from . import __version__
 from .errors import ConfigurationError, TwoSpeedError
 from .fields import FieldSpec, validate_cross_section_overlap, validate_transport_fields
+from .forking import _fork_map
 from .generator import Grid, assemble, hermitian_abscissa
 from .evolution import (
     SCHEMES,
@@ -109,6 +125,26 @@ def _fail(path: str, message: str) -> ConfigurationError:
     return ConfigurationError(f"{path}: {message}")
 
 
+def _not_a_number(path: str, value, expected: str) -> ConfigurationError:
+    """``expected ..., got <value>``, naming the YAML spelling when the value is numeric text.
+
+    PyYAML (YAML 1.1) reads ``1e-3`` and ``1.0e300`` as strings: its
+    floats need a decimal point and a signed exponent.
+    """
+    message = f"expected {expected}, got {value!r}"
+    if isinstance(value, str):
+        try:
+            float(value)
+        except ValueError:
+            pass
+        else:
+            message += (
+                ", which YAML reads as text; write a float with a point and"
+                " a signed exponent, as 1.0e-3 or 1.0e+300"
+            )
+    return _fail(path, message)
+
+
 def _get_map(node, path: str) -> dict:
     if node is None:
         return {}
@@ -124,7 +160,7 @@ def _get_number(node: dict, key: str, path: str, default=None, positive=False, i
         return default
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{path}.{key}", f"expected a number, got {value!r}")
+        raise _not_a_number(f"{path}.{key}", value, "a number")
     if isinstance(value, float) and not math.isfinite(value):
         raise _fail(f"{path}.{key}", f"must be finite, got {value!r}")
     if integer:
@@ -302,7 +338,7 @@ def load_config(path, out_override=None) -> RunConfig:
     t_vals = []
     for i, item in enumerate(t_grid):
         if isinstance(item, bool) or not isinstance(item, (int, float)) or not 0 <= item < math.inf:
-            raise _fail(f"spectral.t_grid[{i}]", f"expected a finite non-negative time, got {item!r}")
+            raise _not_a_number(f"spectral.t_grid[{i}]", item, "a finite non-negative time")
         t_vals.append(float(item))
     if any(b <= a for a, b in zip(t_vals, t_vals[1:])):
         raise _fail("spectral.t_grid", "times must be strictly increasing")
@@ -583,6 +619,10 @@ _STAGES = {
     "lemma": (_lemma, False),
 }
 
+#: The last stages of the table, which ``report`` runs in a forked child
+#: beside the others: no other stage reads their results, nor they another's.
+_SIDE_STAGES = ("evolve", "lemma")
+
 
 def _run_stage(name: str, cfg: RunConfig, args) -> int:
     """One single-stage command: its CSVs, ``<name>.report.json`` and summary line."""
@@ -604,11 +644,24 @@ def cmd_report(cfg: RunConfig, args) -> int:
         return EXIT_ASSUMPTION
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     gen = _assemble(cfg, args)
-    results, sections = {}, {}
-    for name, (stage, on_generator) in _STAGES.items():
-        results[name], sections[name], _ = stage(cfg, gen if on_generator else None)
-    est = results["psi"]
-    series, fit_error = results["evolve"]
+
+    def run(names) -> dict:
+        return {name: _STAGES[name][0](cfg, gen if _STAGES[name][1] else None) for name in names}
+
+    def side() -> dict:
+        done = run(_SIDE_STAGES)
+        # The report reads no lemma result, and its psi callable need not pickle.
+        done["lemma"] = (None, *done["lemma"][1:])
+        return done
+
+    # At niceness 19 the side child takes the CPU that the stages on the
+    # critical path, psi's sigma_min batches above all, leave idle.
+    own = [name for name in _STAGES if name not in _SIDE_STAGES]
+    first, rest = _fork_map([functools.partial(run, own), side], nice=19)
+    stages = {**first, **rest}
+    sections = {name: section for name, (_, section, _) in stages.items()}
+    est = stages["psi"][0]
+    series, fit_error = stages["evolve"][0]
     if fit_error is not None:
         raise fit_error
     evolved = sections.pop("evolve")

@@ -21,13 +21,18 @@ The mean-zero subspace is the orthogonal complement of the unit vector
 every stage), a right and left null vector of ``S`` as the columns of
 the generator sum to zero.  So Hotelling's rank-one deflation
 ``S_c = S + c z0 z0^T`` (:func:`restricted_operator`) is block
-diagonal: ``S0``, ``S`` on the complement, and ``c`` on ``z0``.  With
-``beta >= ||S0||_2`` (:func:`default_lambda_max`) and
-``c^2 >= beta^2 + 2 beta |lambda|``, the block's singular value
-``|c - i lambda| >= beta + |lambda| >= sigma_min(S0 - i lambda)``
-(Weyl) is never the smallest, so
+diagonal: ``S0``, ``S`` on the complement, and ``c`` on ``z0``.  The
+shift is ``c = -3 beta`` with ``beta >= ||S0||_2``
+(:func:`default_lambda_max`) whatever range a sweep samples, so every
+dense solve on ``S_c`` errs by about ``eps beta``, not by ``eps`` times
+the range.  The singular values of ``S_c - i lambda`` are those of
+``S0 - i lambda`` and the block's ``|c - i lambda| = hypot(c, lambda)``.
+Weyl gives ``sigma_min(S0 - i lambda) <= beta + |lambda|``, so the block
+can be the smallest only where ``c^2 < beta^2 + 2 beta |lambda|``, that
+is for ``|lambda| > 4 beta``; with that one value dropped, the smallest
+singular value left,
 
-    sigma_min( S0 - i lambda ) = sigma_min( S_c - i lambda )
+    sigma_min( S0 - i lambda ),
 
 is the distance-to-singularity of the shifted generator on the
 mean-zero subspace.  The resolvent gap ``psi`` is its infimum over all
@@ -49,9 +54,10 @@ set just below that minimum, one Hamiltonian certifies.
 
 ``sigma_min`` itself comes from one of two routes, picked by the
 matrix side ``2n`` (:data:`SPARSE_SIGMA_MIN_SIDE`).  Small matrices take
-the last singular value of the dense ``S_c - i lambda``.  Large ones work
-on ``S`` itself, which keeps the generator's at most four non-zeros per
-column: since ``z0^T S = 0``, one sparse LU of the bordered matrix
+the smallest singular value of the dense ``S_c - i lambda`` but the
+block's.  Large ones work on ``S`` itself, which keeps the generator's
+at most four non-zeros per column: since ``z0^T S = 0``, one sparse LU
+of the bordered matrix
 
     B(lambda) = [[S - i lambda I, z0], [z0^T, 0]],
 
@@ -63,11 +69,11 @@ which ``assemble`` also runs on ``A`` for its kernel verdict.
 
 On the sparse route the ``sigma_min`` points that do not depend on each
 other are split over the CPUs of the affinity mask by ``fork``ed workers
-(:func:`_sigma_min_batch`), as pseudospectra codes split their grids
-over processors (Trefethen 1999); SuperLU and ARPACK hold the GIL, so
-threads would not run them side by side.  A point's value depends on
-its ``lambda`` alone (its own LU and a fixed Lanczos start), so it is
-the same bit for bit wherever it runs.  The dense route stays in one
+(:func:`_sigma_min_batch`, on :mod:`twospeed.forking`), as
+pseudospectra codes split their grids over processors (Trefethen 1999);
+SuperLU and ARPACK hold the GIL, so threads would not run them side by
+side.  A point's value depends on its ``lambda`` alone (its own LU and
+a fixed Lanczos start), so it is the same bit for bit wherever it runs.  The dense route stays in one
 process: its SVDs run on the threaded BLAS, and forked copies would
 compete for the same cores (with two OpenBLAS threads on two CPUs a
 split sweep took twice as long at ``n = 64``).
@@ -85,9 +91,7 @@ and one exponential per new time step.  Its norm is that of
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
+import functools
 from dataclasses import dataclass
 from math import pi
 
@@ -97,6 +101,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, NumericalError
+from .forking import _fork_map, _worker_count
 from .generator import RANK_TOL, GeneratorMatrix, bordered_sigma_min, sparse_symmetrized, symmetrized
 
 #: Hard cap on the dense eigen/SVD problem size (matrix side 2n).
@@ -184,23 +189,18 @@ def mean_zero_direction(gen: GeneratorMatrix) -> np.ndarray:
     return np.sqrt(gen.grid.h * gen.steady)
 
 
-def restricted_operator(gen: GeneratorMatrix, lambda_max: float) -> np.ndarray:
-    """Dense ``S_c = S + c z0 z0^T`` with ``c = -(beta + L)``, ``beta`` = :func:`default_lambda_max`.
+def restricted_operator(gen: GeneratorMatrix):
+    """Dense ``S_c = S + c z0 z0^T`` and its shift ``c = -3 beta``, ``beta`` = :func:`default_lambda_max`.
 
-    ``L = max(lambda_max, 2 beta)`` bounds every ``|lambda|`` a stage
-    probes: the grid, the seeds (``<= ||S0||_2``) and the level-set
-    crossings (``<= ||S0||_2 + gamma <= 2 beta``).  The shift meets the
-    conditions of the module docstring there; a range that is not finite
-    raises :class:`NumericalError`.
+    ``c <= -beta`` keeps the block ``c`` out of the propagator norm and
+    ``|c| > beta >= gamma`` keeps its Hamiltonian pair off the imaginary
+    axis (module docstring).  The shift does not grow with the sweep
+    range: its size sets the rounding of the dense solves on ``S_c``.
     """
     _check_cap(gen)
-    bound = default_lambda_max(gen)
-    reach = max(lambda_max, 2.0 * bound)
-    c = -(bound + reach)
-    if not (np.isfinite(c) and c < -bound and c * c >= bound * (bound + 2.0 * reach)):
-        raise NumericalError(f"deflation shift {c!r} does not cover lambda_max = {lambda_max!r}")
+    c = -3.0 * default_lambda_max(gen)
     z0 = mean_zero_direction(gen)
-    return symmetrized(gen) + c * np.outer(z0, z0)
+    return symmetrized(gen) + c * np.outer(z0, z0), c
 
 
 def sparse_sigma_min(gen: GeneratorMatrix):
@@ -354,28 +354,16 @@ def _polish_best(sig_min, points: np.ndarray, sigmas: np.ndarray):
     return np.concatenate([points, new_points]), np.concatenate([sigmas, new_sigmas])
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on; 1 where ``fork`` or the affinity mask is unavailable."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _sigma_min_batch(sig_min, lams: np.ndarray, workers: int) -> np.ndarray:
     """``[sig_min(lam) for lam in lams]``, split over forked worker processes.
 
     ``workers`` is cut to one per point; with ``k`` of them share ``j``
     is ``lams[j::k]``, interleaved because the points above ``||S0||``
     converge slowest and a contiguous block would hold most of them.
-    The calling process evaluates share 0 and a ``fork``ed child
-    each other share, so every point runs the same code on the same
-    inputs; with one worker that is the whole batch, in-process.  A
-    child sends its values, or the exception it raised, through a pipe
-    as a pickle and leaves by ``os._exit``, so it never flushes the
-    parent's buffers or runs its exit handlers.  A child that dies
-    without a result raises :class:`NumericalError`.  Whether this
-    returns or raises, every child has been reaped; on an error the
-    children still running are killed first.
+    :func:`twospeed.forking._fork_map` runs share 0 in the calling
+    process and each other share in a ``fork``ed child, so every point
+    runs the same code on the same inputs; with one worker that is the
+    whole batch, in-process.
     """
     workers = max(1, min(workers, len(lams)))
 
@@ -383,48 +371,8 @@ def _sigma_min_batch(sig_min, lams: np.ndarray, workers: int) -> np.ndarray:
         return np.array([sig_min(lam) for lam in lams[j::workers]], dtype=float)
 
     values = np.empty(len(lams))
-    pending = {}  # pid -> (share, read end of its pipe)
-    try:
-        for j in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:  # the worker never returns into the caller's code
-                code = 1
-                try:
-                    try:
-                        result = share(j)
-                    except Exception as exc:
-                        result = exc
-                    with open(write, "wb") as pipe:
-                        pickle.dump(result, pipe)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            pending[pid] = (j, read)
-        values[0::workers] = share(0)
-        for pid, (j, read) in list(pending.items()):
-            with open(read, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del pending[pid]
-            os.close(read)
-            if code != 0:
-                raise NumericalError(f"sigma_min worker {pid} exited with status {code}")
-            result = pickle.loads(payload)
-            if isinstance(result, BaseException):
-                raise result
-            values[j::workers] = result
-    finally:
-        for pid, (_, read) in pending.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read)
+    for j, result in enumerate(_fork_map([functools.partial(share, j) for j in range(workers)])):
+        values[j::workers] = result
     return values
 
 
@@ -439,9 +387,8 @@ def psi_sweep(
     ``sigma_min(S0 - i lambda)`` is sampled on a uniform coarse grid over
     ``[0, lambda_max]`` for the ``psi_sweep.csv`` artifact;
     ``lambda_max = 0`` selects :func:`default_lambda_max`.  The range only
-    places the samples and sets the shift of ``S_c``
-    (:func:`restricted_operator`); an explicit one is used as given.  The
-    grid values and the values at the imaginary parts of the eight
+    places the samples; an explicit one is used as given.  The grid
+    values and the values at the imaginary parts of the eight
     rightmost eigenvalues of ``S_c`` are the first samples.  Each
     level-set iteration (at most ``refine_depth``) polishes the smallest
     sample to a local minimum of ``sigma_min`` (``_polish_best``); the
@@ -472,14 +419,16 @@ def psi_sweep(
     if refine_depth < 1:
         raise ConfigurationError("refine_depth must be at least 1")
 
-    s_c = restricted_operator(gen, lambda_max)
+    s_c, c = restricted_operator(gen)
     eye = np.eye(s_c.shape[0])
 
     def dense_sig_min(lam: float) -> float:
         try:
-            return float(scipy.linalg.svdvals(s_c - 1j * lam * eye)[-1])
+            values = scipy.linalg.svdvals(s_c - 1j * lam * eye)
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalError(f"SVD failed at lambda = {lam}: {exc}") from exc
+        # Drop the z0 block's singular value; the rest are those of S0 - i lambda.
+        return float(np.delete(values, np.argmin(np.abs(values - np.hypot(c, lam))))[-1])
 
     if gen.size >= SPARSE_SIGMA_MIN_SIDE:
         sig_min, workers = sparse_sigma_min(gen), _worker_count()
@@ -529,8 +478,8 @@ def semigroup_bound_check(gen: GeneratorMatrix, psi: PsiEstimate, t_grid) -> Sem
     """Verify ``||exp(tA)|| <= exp(-t psi + pi/2)`` on the mean-zero subspace.
 
     The norm is the largest singular value of the dense propagator
-    ``P(t) = exp(t S_c)`` (:func:`restricted_operator` for the range
-    ``psi.lambda_max``), that of ``exp(t S0)``.  Along the grid
+    ``P(t) = exp(t S_c)`` (:func:`restricted_operator`), that of
+    ``exp(t S0)``.  Along the grid
     ``P(t_k) = exp((t_k - t_{k-1}) S_c) P(t_{k-1})`` (``t_{-1} = 0``), and
     a step equal to an earlier grid time ``t_j`` reuses ``P(t_j)``, so
     the doubling grid ``[0.5, 1, 2, 4]`` costs one matrix exponential
@@ -547,7 +496,7 @@ def semigroup_bound_check(gen: GeneratorMatrix, psi: PsiEstimate, t_grid) -> Sem
     ):
         raise ConfigurationError("t_grid must be finite, non-negative and strictly increasing")
 
-    s_c = restricted_operator(gen, psi.lambda_max)
+    s_c, _ = restricted_operator(gen)
     norms = np.empty(len(times))
     increments = np.diff(times, prepend=0.0)
     reusable = {}  # P(t_j) for the grid times that a later increment equals

@@ -1,11 +1,19 @@
 import json
+import os
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import twospeed.cli
 from twospeed.cli import load_config, main
+from twospeed.errors import NumericalError
 from twospeed.textio import read_csv_columns
+
+from child_processes import assert_no_child_processes
 
 GT_CONFIG = """\
 fields:
@@ -96,6 +104,29 @@ def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting, old, ne
     assert setting in capsys.readouterr().err
     # Rejected while loading the config, before any stage writes output.
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "setting, old, text, quirk, spelling",
+    [
+        ("evolve.dt", "dt: 0.002", "dt: {}", "2e-3", "2.0e-3"),
+        ("spectral.lambda_max", "refine_depth: 25", "refine_depth: 25\n  lambda_max: {}", "1.0e300", "1.0e+300"),
+        ("spectral.t_grid[1]", "t_grid: [0.5, 1.0, 2.0]", "t_grid: [0.5, {}, 2.0]", "1E0", "1.0E+0"),
+    ],
+)
+def test_yaml_exponent_text_names_the_float_spelling(tmp_path, capsys, setting, old, text, quirk, spelling):
+    # PyYAML reads an exponent without a decimal point or without a sign
+    # as a string; the error says so and how to write the number instead.
+    config = GT_CONFIG.format(out=tmp_path / "out")
+    path = tmp_path / "quirk.yaml"
+    path.write_text(config.replace(old, text.format(quirk)))
+    assert main(_args(path, "validate")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {setting}: expected ") and f"got {quirk!r}, which YAML reads as text" in err
+    assert "1.0e-3 or 1.0e+300" in err
+    assert yaml.safe_load(spelling) == float(quirk)
+    path.write_text(config.replace(old, text.format(spelling)))
+    load_config(path)
 
 
 def test_readme_configuration_lists_the_defaults(tmp_path):
@@ -318,3 +349,122 @@ def test_outputs_are_deterministic(gt_config, tmp_path):
     assert main(_args(gt_config, "steady", "--out", str(tmp_path / "b"))) == 0
     for name in ("steady.csv", "steady.report.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+SPLIT_CONFIG = """\
+fields:
+  b1: {{kind: constant, value: 1.0}}
+  b2: {{kind: trigonometric, a: -1.0, b: 0.4}}
+grid: {{n: {n}}}
+evolve: {{T: 2.0, dt: 0.004, observe_every: 5}}
+spectral: {{coarse_points: 16, t_grid: [0.5, 1.0]}}
+lemma: {{points: 16}}
+output: {{directory: out}}
+"""
+
+
+@pytest.fixture
+def split_config(tmp_path):
+    """Write the small report config at grid size ``n``; return its path."""
+
+    def write(n):
+        path = tmp_path / f"split{n}.yaml"
+        path.write_text(SPLIT_CONFIG.format(n=n))
+        return path
+
+    return write
+
+
+@pytest.fixture
+def caller_state():
+    """The caller keeps its niceness and leaves no child process behind."""
+    niceness = os.nice(0)
+    yield
+    assert_no_child_processes()
+    assert os.nice(0) == niceness
+
+
+def _on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+
+
+@pytest.mark.parametrize("n", [96, 128])
+def test_report_split_is_byte_identical(split_config, tmp_path, monkeypatch, capsys, caller_state, n):
+    # One CPU runs every stage in-process in table order; two run evolve
+    # and lemma in a forked child beside the others (and split psi's
+    # sigma_min points from n = 96 on). Every file comes out the same.
+    path = split_config(n)
+    for name, cpus in (("one", {0}), ("two", {0, 1})):
+        _on_cpus(monkeypatch, cpus)
+        assert main(_args(path, "report", "--out", str(tmp_path / name))) == 0
+        out = capsys.readouterr().out
+        assert out.count("report: psi_hat=") == 1 and out.count("\n") == 1, name
+    one, two = tmp_path / "one", tmp_path / "two"
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in two.iterdir())
+    assert {"timeseries.csv", "lemma.csv", "report.json"} <= set(names)
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def _failing(message):
+    def fail(*args, **kwargs):
+        raise NumericalError(message)
+
+    return fail
+
+
+@pytest.mark.parametrize("failing", [("evolve",), ("lemma_sweep",), ("evolve", "lemma_sweep")], ids="+".join)
+def test_report_child_error_matches_the_serial_run(split_config, tmp_path, monkeypatch, capsys, caller_state, failing):
+    # The first failing side stage in table order names the error, as in
+    # a serial run; lemma never runs after a failed evolve.
+    for name in failing:
+        monkeypatch.setattr(twospeed.cli, name, _failing(f"injected in {name}"))
+    path = split_config(32)
+    messages = []
+    for cpus in ({0}, {0, 1}):
+        _on_cpus(monkeypatch, cpus)
+        assert main(_args(path, "report", "--out", str(tmp_path / str(len(cpus))))) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        messages.append(captured.err)
+    assert messages[0] == messages[1] == f"numerical error: injected in {failing[0]}\n"
+
+
+@pytest.mark.parametrize(
+    "fault, status",
+    [(lambda: os._exit(1), 1), (lambda: os.kill(os.getpid(), signal.SIGKILL), -int(signal.SIGKILL))],
+    ids=["exit", "killed"],
+)
+def test_report_child_death_is_a_numerical_error(split_config, tmp_path, monkeypatch, capsys, caller_state, fault, status):
+    parent = os.getpid()
+    evolve = twospeed.cli.evolve
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            fault()
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(twospeed.cli, "evolve", dying)
+    _on_cpus(monkeypatch, {0, 1})
+    assert main(_args(split_config(32), "report", "--out", str(tmp_path / "out"))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: forked child") and err.endswith(f"exited with status {status}\n")
+
+
+def test_report_parent_failure_reaps_the_child(split_config, tmp_path, monkeypatch, capsys, caller_state):
+    # psi fails in the caller while the side child still runs: the child
+    # is killed, not waited for, and the caller's error is the report's.
+    parent = os.getpid()
+
+    def stalled(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+
+    monkeypatch.setattr(twospeed.cli, "evolve", stalled)
+    monkeypatch.setattr(twospeed.cli, "psi_sweep", _failing("injected in psi"))
+    _on_cpus(monkeypatch, {0, 1})
+    start = time.monotonic()
+    assert main(_args(split_config(32), "report", "--out", str(tmp_path / "out"))) == 3
+    assert time.monotonic() - start < 30.0
+    assert capsys.readouterr().err == "numerical error: injected in psi\n"

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -25,6 +24,7 @@ from twospeed.spectral import (
     sparse_sigma_min,
 )
 
+from child_processes import assert_no_child_processes
 from mean_zero_operator import mean_zero_operator
 from upwind_spectrum import goldstein_taylor_upwind_eigenvalues, transport_lambda_max
 
@@ -288,14 +288,15 @@ def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
     dense = scipy.linalg.svdvals(q.T @ gen.matrix @ q)[-1]
     assert bordered_sigma_min(gen.operator, u)(0.0)[1] == pytest.approx(dense, rel=1e-8)
 
-    # The dense route's S_c = S + c z0 z0^T, formed for the widest range
-    # the tests probe: the spectrum of S0 and c, the same sigma_min on the
-    # grid and the same Hamiltonian crossings just above the gap.
+    # The dense route's S_c = S + c z0 z0^T: the spectrum of S0 and c, the
+    # same sigma_min on a grid that reaches past 4 beta, where the block's
+    # singular value |c - i lambda| is dropped, and the same Hamiltonian
+    # crossings just above the gap.
     lambda_max = transport_lambda_max(gen)
-    s_c = restricted_operator(gen, lambda_max)
-    shift = z0 @ s_c @ z0
+    s_c, shift = restricted_operator(gen)
     beta = default_lambda_max(gen)
-    assert shift <= -beta and shift**2 >= beta**2 + 2.0 * beta * lambda_max
+    assert shift == -3.0 * beta
+    assert lambda_max > 4.0 * beta
     assert_same_points(scipy.linalg.eigvals(s_c), np.append(mu, shift), 1e-10 * gen.operator_scale())
     est = ts.psi_sweep(gen, lambda_max=lambda_max, coarse_points=16)
     for lam, value in zip(est.lambda_grid, est.sigma_min_values):
@@ -367,6 +368,22 @@ def test_default_lambda_max_bounds_the_operator_norm(b1, a, b, c, sigma, n):
     assert bound >= np.linalg.norm(symmetrized(gen), 2)
 
 
+@pytest.mark.parametrize("n", [16, 96], ids=["dense", "sparse"])
+def test_far_sweep_range_keeps_the_certificate(variant_fields, n):
+    # The deflation shift does not grow with an explicit range, so the
+    # dense solves err by about eps ||S0||, not eps lambda_max: psi_hat
+    # stays where the default range puts it and below the oracle's
+    # sigma_min at argmin_lambda, on either sigma_min route.
+    gen = ts.assemble(*variant_fields, ts.Grid(n))
+    auto = ts.psi_sweep(gen, coarse_points=16)
+    s0 = mean_zero_operator(gen)
+    eye = np.eye(s0.shape[0])
+    for lambda_max in (1e10, 1e16):
+        est = ts.psi_sweep(gen, lambda_max=lambda_max, coarse_points=16)
+        assert est.psi_hat == pytest.approx(auto.psi_hat, rel=1e-12, abs=0.0), lambda_max
+        assert est.psi_hat <= scipy.linalg.svdvals(s0 - 1j * est.argmin_lambda * eye)[-1], lambda_max
+
+
 def test_sparse_psi_certificate_ignores_sweep_range(variant_fields):
     # test_psi_certificate_ignores_sweep_range on the sparse route.
     gen = ts.assemble(*variant_fields, ts.Grid(96))
@@ -397,12 +414,6 @@ def test_sparse_psi_sweep_matches_dense_svd(gen_variant_128):
         dense = scipy.linalg.svdvals(s0 - 1j * est.lambda_grid[i] * eye)[-1]
         assert est.sigma_min_values[i] == pytest.approx(dense, rel=1e-12), f"point {i}"
     assert est.psi_hat <= abs(ts.spectrum(gen_variant_128).x0_abscissa)
-
-
-def assert_no_child_processes():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("n", [96, 128])
