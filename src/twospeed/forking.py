@@ -3,10 +3,10 @@
 The psi sweep splits its ``sigma_min`` points over the CPUs this way
 (:func:`twospeed.spectral.psi_sweep`), and ``twospeed report`` runs its
 evolve and lemma stages beside the others (:func:`twospeed.cli.cmd_report`).
-SuperLU, ARPACK and the stage code hold the GIL, so threads would not
-run them side by side.  The helpers are package-private: the perfbench
-tracer wraps every public function, and a span around a fork would split
-a stage's time between two layers.
+SuperLU, the Lanczos recurrence and the stage code hold the GIL, so
+threads would not run them side by side.  The helpers are
+package-private: the perfbench tracer wraps every public function, and a
+span around a fork would split a stage's time between two layers.
 """
 
 from __future__ import annotations

@@ -34,15 +34,18 @@ the sampled ODE solution.  Because every column of the matrix ``A`` sums
 to zero, the bordered matrix ``[[A, u], [u^T, 0]]`` with
 ``u = 1 / sqrt(2n)`` is nonsingular exactly when the kernel of ``A`` is
 one-dimensional (Keller 1977).  One sparse LU of it yields the null
-vector and, by inverse Lanczos, the smallest singular value ``s`` of
-``A`` on the complement of ``u`` (:func:`bordered_sigma_min`); the
-kernel counts as simple when ``s >= RANK_TOL * (max |b| + max sigma)``.
+vector and, by inverse Lanczos (a three-term recurrence on
+``B^{-H} B^{-1}`` between pairs of solves with that LU), the smallest
+singular value ``s`` of ``A`` on the complement of ``u``
+(:func:`bordered_sigma_min`); the kernel counts as simple when
+``s >= RANK_TOL * (max |b| + max sigma)``.
 The ODE solution from :mod:`twospeed.steady_state` serves as an O(h)
 cross-validation oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +68,17 @@ from .space import StateVector, WeightedSpace
 RANK_TOL = 1e-8
 
 #: Relative Lanczos tolerance of :func:`bordered_sigma_min`, far below
-#: ``RANK_TOL`` so that no tolerance decision made on its result moves.
+#: ``RANK_TOL`` so that no tolerance decision made on its result moves:
+#: a run stops when the residual ``beta_j |s_j|`` of its top Ritz pair is
+#: at most ``LANCZOS_TOL`` times the Ritz value, ARPACK's rule.
 LANCZOS_TOL = 1e-12
+
+#: Lanczos steps between two convergence checks of :func:`bordered_sigma_min`.
+#: A check (a LAPACK tridiagonal eigenpair, about 15 us) costs a third of
+#: a step at n = 128; per-point times at n = 128 to 1024 were flat for 3
+#: to 5.  The kernel verdict converges in 9 or 10 steps, so the first
+#: check comes early.
+_RITZ_CHECK_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -173,6 +185,22 @@ def _upwind_columns(faces: np.ndarray, h: float):
     return (bm[:n] - bp[1:]) / h, bp[1:] / h, -bm[:n] / h
 
 
+def _top_ritz_pair(alphas: list, betas: list):
+    """Top eigenvalue of the Lanczos tridiagonal and the last entry of its unit eigenvector.
+
+    ``alphas`` is the diagonal and ``betas`` the off-diagonal.  LAPACK's
+    bisection (``dstebz``) finds the eigenvalue alone and inverse
+    iteration (``dstein``) its vector.
+    """
+    d, e = np.array(alphas), np.array(betas)
+    k = len(d)
+    _, w, block, split, info = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, k, k, 0.0, "B")
+    z, info_vector = scipy.linalg.lapack.dstein(d, e, w[:1], block, split)
+    if info or info_vector:
+        raise NumericalError(f"tridiagonal eigensolver failed (dstebz {info}, dstein {info_vector})")
+    return float(w[0]), float(z[-1, 0])
+
+
 def bordered_sigma_min(operator: scipy.sparse.sparray, u: np.ndarray):
     """``lam -> (lu, s)``: sparse LU of ``B = [[operator - i lam I, u], [u^T, 0]]`` and its ``s``.
 
@@ -181,68 +209,106 @@ def bordered_sigma_min(operator: scipy.sparse.sparray, u: np.ndarray):
     with ``P = I - u u^T``, so ``1 / s^2``, ``s`` the smallest singular
     value of ``operator - i lam`` compressed to the complement of ``u``,
     is the top eigenvalue of ``B^{-H} B^{-1}`` on the first ``m``
-    coordinates.  ARPACK's Lanczos (``eigsh``) finds it from a fixed
-    start vector, a seeded draw with ``u`` projected out.  For
-    ``lam != 0`` that Hermitian operator runs in its real symmetric
-    ``2m x 2m`` form on stacked real and imaginary parts, which has the
-    same eigenvalues, each twice, and starts from ``[v0, 0]``; so ARPACK
-    runs real Lanczos, not the complex Arnoldi it would run on a
-    complex operator.  ``B(0)`` is bordered once; each ``lam`` costs one
-    shift, one ``splu`` and one run.
+    coordinates.  A three-term Hermitian Lanczos recurrence finds it from
+    a fixed start vector, a seeded draw with ``u`` projected out, with
+    the border entry of every vector held at 0.  Only the top Ritz value
+    is wanted, so the recurrence keeps no basis and does not
+    reorthogonalise: lost orthogonality only adds copies of converged
+    Ritz values (Paige, Linear Algebra Appl. 34, 1980).  Every
+    :data:`_RITZ_CHECK_EVERY` steps it stops by ARPACK's rule,
+    ``beta_j |s_j| <= LANCZOS_TOL * theta_j`` for the top Ritz value
+    ``theta_j`` of the ``j x j`` tridiagonal and the last entry ``s_j``
+    of its unit eigenvector.  At ``lam = 0`` it runs in real arithmetic.
 
-    With ``floor > 0`` one solve ``[y; t] = B^{-1} [v0; 0]`` comes first:
-    it bounds ``s <= ||v0|| / ||y||``.  A bound below ``floor``, or a
-    non-finite ``y``, is returned in place of ``s`` (0 when ``y`` is not
-    finite) without a Lanczos run, which could overflow on a kernel that
+    ``B(0)`` is bordered once, with the diagonal stored even where it is
+    0; each ``lam`` subtracts ``i lam`` from that stored diagonal in
+    place, and costs one ``splu`` and one run.  The run works on
+    ``rho^2 B^{-H} B^{-1}`` and scales ``s`` back, ``rho`` the power of
+    two (at most ``2^1023``) that puts ``rho max |y|`` in ``[1/2, 1)``
+    for the first solve ``[y; t] = B^{-1} [q1; 0]``, ``q1`` the unit
+    start vector.  The scaling is exact, so the coefficients come out of
+    size about 1 whatever the size of ``B``: unscaled, ``B^{-H} B^{-1}``,
+    of size ``1 / lam^2``, underflows at ``|lam| = 1e200``, and at
+    ``lam = 0`` on an operator of size ``1e100``.
+
+    With ``floor > 0`` that first solve bounds ``s <= 1 / ||y||``.  A
+    bound below ``floor``, or a non-finite ``y``, is returned in place of
+    ``s`` (0 when ``y`` is not finite) without the rest of the run, which
+    could overflow on a kernel that
     is many-dimensional to working precision.
 
     The returned function gives ``(None, 0.0)`` if ``B`` is exactly
-    singular and raises :class:`NumericalError` when ARPACK fails.
+    singular and raises :class:`NumericalError` on a breakdown
+    (``beta_j = 0``, as when ``y = 0``), on a non-finite
+    recurrence coefficient, or after ``10 m`` steps without convergence.
     """
     m = operator.shape[0]
-    bordered = scipy.sparse.block_array([[operator, u[:, None]], [u[None, :], None]], format="csc")
-    shift = scipy.sparse.diags_array(np.append(np.ones(m), 0.0), format="csc")
-    v0 = np.random.default_rng(0).standard_normal(m)
-    v0 -= u * (u @ v0)
+    coo = operator.tocoo()
+    diag, border = np.arange(m), np.full(m, m)
+    bordered = scipy.sparse.csc_array(
+        (
+            np.concatenate([coo.data, np.zeros(m), u, u]),
+            (np.concatenate([coo.row, diag, diag, border]), np.concatenate([coo.col, diag, border, diag])),
+        ),
+        shape=(m + 1, m + 1),
+    )
+    cols = np.repeat(np.arange(m + 1), np.diff(bordered.indptr))
+    on_diagonal = np.flatnonzero(bordered.indices == cols)
+    start = np.zeros(m + 1)
+    start[:m] = np.random.default_rng(0).standard_normal(m)
+    start[:m] -= u * (u @ start[:m])
+    start /= np.linalg.norm(start)
+
+    # B(lam) for every lam != 0: only its diagonal changes, in place, as
+    # splu keeps no reference to the matrix it factors.
+    shifted = bordered.astype(complex)
+    diagonal = bordered.data[on_diagonal]
+    cap = 10 * m
 
     def at(lam: float, floor: float = 0.0):
-        shifted = bordered - 1j * lam * shift if lam else bordered
+        if lam:
+            shifted.data[on_diagonal] = diagonal - 1j * lam
         try:
-            lu = scipy.sparse.linalg.splu(shifted)
+            lu = scipy.sparse.linalg.splu(shifted if lam else bordered)
         except RuntimeError:  # "Factor is exactly singular"
             return None, 0.0
-        rhs = np.zeros(m + 1, dtype=shifted.dtype)  # the border entry stays 0
-        if floor:
-            rhs[:m] = v0
-            y = lu.solve(rhs)[:m]
-            with np.errstate(all="ignore"):
-                bound = float(np.linalg.norm(v0) / np.linalg.norm(y))
-            if not bound >= floor:
-                return lu, bound if np.isfinite(bound) else 0.0
 
-        def normal_inverse(x: np.ndarray) -> np.ndarray:
-            rhs[:m] = x.ravel()
-            rhs[:m] = lu.solve(rhs)[:m]
-            return lu.solve(rhs, trans="H")[:m]
-
-        if lam:
-            def matvec(x: np.ndarray) -> np.ndarray:
-                x = x.ravel()
-                y = normal_inverse(x[:m] + 1j * x[m:])
-                return np.concatenate([y.real, y.imag])
-
-            op = scipy.sparse.linalg.LinearOperator((2 * m, 2 * m), matvec=matvec, dtype=float)
-            start = np.append(v0, np.zeros(m))
-        else:
-            op = scipy.sparse.linalg.LinearOperator((m, m), matvec=normal_inverse, dtype=float)
-            start = v0
-        try:
-            top = scipy.sparse.linalg.eigsh(
-                op, k=1, which="LA", tol=LANCZOS_TOL, v0=start, return_eigenvectors=False
-            )[0]
-        except scipy.sparse.linalg.ArpackError as exc:
-            raise NumericalError(f"inverse Lanczos failed at lambda = {lam}: {exc}") from exc
-        return lu, float(1.0 / np.sqrt(top))
+        q, q_prev = start, None
+        y = lu.solve(q)
+        y[m] = 0.0
+        with np.errstate(all="ignore"):
+            rho = math.ldexp(1.0, min(-math.frexp(np.abs(y).max())[1], 1023))
+            y *= rho
+            if floor:
+                bound = float(rho / np.linalg.norm(y))
+                if not bound >= floor:
+                    return lu, bound if math.isfinite(bound) else 0.0
+        alphas, betas = [], []
+        for step in range(1, cap + 1):
+            w = lu.solve(y, trans="H")
+            w[m] = 0.0
+            w *= rho
+            alpha = float(np.vdot(q, w).real)
+            if math.isfinite(alpha):
+                w -= alpha * q
+                if q_prev is not None:
+                    w -= betas[-1] * q_prev
+                beta = math.sqrt(np.vdot(w, w).real)
+            if not (math.isfinite(alpha) and math.isfinite(beta)):
+                raise NumericalError(f"inverse Lanczos at lambda = {lam}: non-finite coefficient at step {step}")
+            if beta == 0.0:
+                raise NumericalError(f"inverse Lanczos at lambda = {lam}: breakdown at step {step}")
+            alphas.append(alpha)
+            if step % _RITZ_CHECK_EVERY == 0:
+                theta, last = _top_ritz_pair(alphas, betas)
+                if theta > 0.0 and beta * abs(last) <= LANCZOS_TOL * theta:
+                    return lu, rho / math.sqrt(theta)
+            betas.append(beta)
+            q_prev, q = q, w / beta
+            y = lu.solve(q)
+            y[m] = 0.0
+            y *= rho
+        raise NumericalError(f"inverse Lanczos at lambda = {lam}: no convergence in {cap} steps")
 
     return at
 

@@ -65,15 +65,19 @@ nonsingular exactly when ``S0 - i lambda`` is (also at ``lambda = 0``),
 and inverse Lanczos give ``sigma_min(S0 - i lambda)`` (the sparse-LU
 route of pseudospectra codes: Trefethen, Acta Numerica 1999; Wright &
 Trefethen, EigTool, 2002), in :func:`twospeed.generator.bordered_sigma_min`,
-which ``assemble`` also runs on ``A`` for its kernel verdict.
+which ``assemble`` also runs on ``A`` for its kernel verdict.  The
+Lanczos run is a three-term recurrence on ``B^{-H} B^{-1}`` without
+reorthogonalisation, stopped by ARPACK's residual rule; only the top
+Ritz value is wanted.
 
 On the sparse route the ``sigma_min`` points that do not depend on each
 other are split over the CPUs of the affinity mask by ``fork``ed workers
 (:func:`_sigma_min_batch`, on :mod:`twospeed.forking`), as
 pseudospectra codes split their grids over processors (Trefethen 1999);
-SuperLU and ARPACK hold the GIL, so threads would not run them side by
-side.  A point's value depends on its ``lambda`` alone (its own LU and
-a fixed Lanczos start), so it is the same bit for bit wherever it runs.  The dense route stays in one
+SuperLU holds the GIL and the Lanczos recurrence between its solves is
+Python code, so threads would not run them side by side.  A point's
+value depends on its ``lambda`` alone (its own LU and a fixed Lanczos
+start), so it is the same bit for bit wherever it runs.  The dense route stays in one
 process: its SVDs run on the threaded BLAS, and forked copies would
 compete for the same cores (with two OpenBLAS threads on two CPUs a
 split sweep took twice as long at ``n = 64``).
@@ -118,15 +122,17 @@ MIN_COARSE_POINTS = 16
 #: sparse LU and inverse Lanczos instead of a dense SVD.  Mean CPU time
 #: per point over 32 points of the default coarse grid (which ends at
 #: :func:`default_lambda_max`), variant fields, one BLAS thread on a
-#: 2-core x86-64 host, with real Lanczos; fastest of two or three runs:
+#: 2-core x86-64 host, with the three-term Lanczos recurrence; fastest
+#: of three (dense) or seven (sparse) runs:
 #:
 #:     n       16    32    64    80    96    128   256
-#:     dense   0.2   0.6   2.8   5.3   6.6   14    113   ms
-#:     sparse  1.8   2.5   2.6   3.1   2.5   3.2   5.3   ms
+#:     dense   0.10  0.39  1.8   3.0   5.2   10.5  92    ms
+#:     sparse  0.49  0.80  0.92  1.0   1.09  1.19  2.02  ms
 #:
-#: The routes cross between n = 64 and 80; the sparse route starts at
-#: n = 96, so small grids, the n = 16 warm-up of a benchmark op among
-#: them, keep the cheaper dense SVD.
+#: The routes now cross between n = 32 and 64 (between 64 and 80 with
+#: ARPACK); the sparse route still starts at n = 96, so small grids, the
+#: n = 16 warm-up of a benchmark op among them, keep the dense SVD and
+#: their ``psi_sweep.csv`` bytes.
 SPARSE_SIGMA_MIN_SIDE = 192
 
 #: Golden-section fraction and relative abscissa tolerance of the polish
@@ -316,17 +322,20 @@ def _polish_best(sig_min, points: np.ndarray, sigmas: np.ndarray):
             break
         p = q = 0.0
         prev = last
+        width = b - a
         if abs(last) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
+            # Abscissa offsets in units of the bracket width, so that no
+            # product overflows on a bracket of 1e150 or more.
+            r = (x - w) / width * (fx - fv)
+            q = (x - v) / width * (fx - fw)
+            p = (x - v) / width * q - (x - w) / width * r
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
             q = abs(q)
             last = step
-        if abs(p) < abs(0.5 * q * prev) and q * (a - x) < p < q * (b - x):
-            step = p / q  # parabolic step
+        if abs(p) < abs(0.5 * q * prev / width) and q * (a - x) / width < p < q * (b - x) / width:
+            step = p / q * width  # parabolic step
             if x + step - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
                 step = tol if x < mid else -tol
         else:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -259,6 +260,33 @@ def test_kernel_sigma_min_is_twice_the_cross_section(gt_fields, sigma, n):
     lu, s = bordered_sigma_min(gen.operator, np.full(gen.size, 1.0 / np.sqrt(gen.size)))(0.0)
     assert lu is not None
     assert s == pytest.approx(2.0 * sigma, rel=1e-6)
+
+
+def test_bordered_sigma_min_shifts_an_unstored_diagonal():
+    # The centred cyclic difference stores no diagonal entry; every lambda
+    # must still shift all of it. Odd m keeps the kernel simple.
+    m = 7
+    shift = scipy.sparse.csc_array(np.roll(np.eye(m), 1, axis=0))
+    operator = (shift - shift.T).tocsc()
+    assert not operator.diagonal().any() and operator.nnz == 2 * m
+    u = np.full(m, 1.0 / np.sqrt(m))
+    q = scipy.linalg.null_space(u[None, :])
+    at = bordered_sigma_min(operator, u)
+    for lam in (0.0, 0.3, 2.0):
+        dense = scipy.linalg.svdvals(q.T @ (operator.toarray() - 1j * lam * np.eye(m)) @ q)[-1]
+        assert at(lam)[1] == pytest.approx(dense, rel=1e-12), lam
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e100, 1e300])
+def test_kernel_sigma_min_scales_with_the_operator(gen_gt_64, scale):
+    # Unscaled, B^{-H} B^{-1} of a huge operator underflows and that of a
+    # tiny one overflows; with the run's vectors scaled to size about 1
+    # by a power of two, s scales exactly.
+    u = np.full(gen_gt_64.size, 1.0 / np.sqrt(gen_gt_64.size))
+    at = bordered_sigma_min(gen_gt_64.operator, u)
+    scaled = bordered_sigma_min(gen_gt_64.operator * scale, u)
+    for lam in (0.0, 3.0):
+        assert scaled(lam * scale)[1] == pytest.approx(scale * at(lam)[1], rel=1e-12), lam
 
 
 def test_assemble_allocates_no_dense_matrix(variant_fields):

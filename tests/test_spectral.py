@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twospeed as ts
+import twospeed.generator
 import twospeed.spectral
 from twospeed.errors import ConfigurationError, NumericalError
 from twospeed.generator import RANK_TOL, bordered_sigma_min, sparse_symmetrized, symmetrized
@@ -237,6 +239,21 @@ def test_psi_certificate_is_tight_lower_bound():
         assert polished <= est.psi_hat * (1.0 + 1e-6), f"draw {draw}"
 
 
+def test_polish_survives_a_bracket_of_1e150():
+    # Unscaled, the parabolic step's products of abscissa and value
+    # differences overflow on this bracket.
+    def sig_min(lam):
+        return abs(lam - 5.0) + 1.0
+
+    points = np.array([0.0, 7.0, 1e150])
+    polished_points, polished = twospeed.spectral._polish_best(
+        sig_min, points, np.array([sig_min(lam) for lam in points])
+    )
+    best = int(np.argmin(polished))
+    assert polished_points[best] == pytest.approx(5.0, abs=1e-6)
+    assert polished[best] == pytest.approx(1.0, rel=1e-6)
+
+
 # Admissible draws from the benchmark's field box, below the size at
 # which psi_sweep switches sigma_min routes.
 benchmark_box = given(
@@ -359,6 +376,26 @@ def test_sparse_sigma_min_is_independent_of_earlier_points(b1, trig, sigma):
         assert sig_min(lam) == pytest.approx(dense, rel=1e-12), f"lambda = {lam}"
 
 
+def test_sparse_route_runs_without_arpack(variant_fields, monkeypatch):
+    # The kernel verdict and every sparse sigma_min run their own Lanczos
+    # recurrence, not scipy's eigsh.
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("eigsh was called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_arpack)
+    gen = ts.assemble(*variant_fields, ts.Grid(96))
+    assert gen.size >= SPARSE_SIGMA_MIN_SIDE
+    assert ts.psi_sweep(gen, coarse_points=16).psi_hat > 0.0
+
+
+def test_sparse_sigma_min_raises_at_the_step_cap(gen_variant_64, monkeypatch):
+    # A tolerance of 0 is never met, so the run must stop at its cap of
+    # 10 m steps (m = 128 here) with a typed error.
+    monkeypatch.setattr(twospeed.generator, "LANCZOS_TOL", 0.0)
+    with pytest.raises(NumericalError, match="no convergence in 1280 steps"):
+        sparse_sigma_min(gen_variant_64)(1.0)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @benchmark_box
 def test_default_lambda_max_bounds_the_operator_norm(b1, a, b, c, sigma, n):
@@ -378,7 +415,9 @@ def test_far_sweep_range_keeps_the_certificate(variant_fields, n):
     auto = ts.psi_sweep(gen, coarse_points=16)
     s0 = mean_zero_operator(gen)
     eye = np.eye(s0.shape[0])
-    for lambda_max in (1e10, 1e16):
+    # At 1e200 and 1e300 B^{-H} B^{-1} of the sparse route, of size
+    # 1 / lambda^2, underflows unless the Lanczos run scales its vectors.
+    for lambda_max in (1e10, 1e16, 1e200, 1e300):
         est = ts.psi_sweep(gen, lambda_max=lambda_max, coarse_points=16)
         assert est.psi_hat == pytest.approx(auto.psi_hat, rel=1e-12, abs=0.0), lambda_max
         assert est.psi_hat <= scipy.linalg.svdvals(s0 - 1j * est.argmin_lambda * eye)[-1], lambda_max
