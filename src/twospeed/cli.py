@@ -21,14 +21,17 @@ Subcommands
     ``os.nice(19)``, so it takes the CPU that the rest of the report
     leaves idle (the spectrum, the dense eigensolves, the polish) rather
     than slow the psi sweep's ``sigma_min`` batches, which are on the
-    critical path.  It writes its CSVs itself and pipes back only what
-    the report reads.  Errors keep the order of a serial run: a failed
+    critical path.  It writes its CSVs itself and pipes back its stage
+    results.  Errors keep the order of a serial run: a failed
     steady, spectrum or psi stage kills the child and raises; a failure
     in the child raises once those stages have succeeded, evolve's
     before lemma's.  A report that fails in steady, spectrum or psi may
     therefore leave a partial ``timeseries.csv`` or ``lemma.csv``.  With
     one CPU in the affinity mask every stage runs in-process in table
-    order.  The files are the same byte for byte either way.
+    order.  With one BLAS thread (``OMP_NUM_THREADS=1
+    OPENBLAS_NUM_THREADS=1``) the files are the same byte for byte
+    either way; a threaded BLAS may change the last digits of the dense
+    eigensolves with the number of CPUs it runs on.
 
 Every command but ``validate`` passes the same admissibility gate first.
 
@@ -648,16 +651,10 @@ def cmd_report(cfg: RunConfig, args) -> int:
     def run(names) -> dict:
         return {name: _STAGES[name][0](cfg, gen if _STAGES[name][1] else None) for name in names}
 
-    def side() -> dict:
-        done = run(_SIDE_STAGES)
-        # The report reads no lemma result, and its psi callable need not pickle.
-        done["lemma"] = (None, *done["lemma"][1:])
-        return done
-
     # At niceness 19 the side child takes the CPU that the stages on the
     # critical path, psi's sigma_min batches above all, leave idle.
     own = [name for name in _STAGES if name not in _SIDE_STAGES]
-    first, rest = _fork_map([functools.partial(run, own), side], nice=19)
+    first, rest = _fork_map([functools.partial(run, own), functools.partial(run, _SIDE_STAGES)], nice=19)
     stages = {**first, **rest}
     sections = {name: section for name, (_, section, _) in stages.items()}
     est = stages["psi"][0]

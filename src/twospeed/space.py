@@ -98,15 +98,6 @@ class WeightedSpace:
             np.asarray(steady2, dtype=float),
         )
 
-    @property
-    def w1(self) -> np.ndarray:
-        """Reciprocal weights 1 / p1,inf."""
-        return 1.0 / self.steady1
-
-    @property
-    def w2(self) -> np.ndarray:
-        return 1.0 / self.steady2
-
     def steady_state_vector(self) -> StateVector:
         return StateVector(self.x, self.steady1, self.steady2)
 

@@ -190,6 +190,18 @@ def _check_cap(gen: GeneratorMatrix) -> None:
         raise NumericalError(f"matrix side {gen.size} exceeds the dense solver cap {DENSE_CAP}")
 
 
+def _lapack(what: str, kernel, *args, **kwargs):
+    """``kernel(*args, **kwargs)``, a LAPACK failure raised as :class:`NumericalError`.
+
+    Callers pass ``scipy.linalg.<kernel>`` looked up at the call, so a
+    patched kernel sees every call.
+    """
+    try:
+        return kernel(*args, **kwargs)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"{what} failed: {exc}") from exc
+
+
 def mean_zero_direction(gen: GeneratorMatrix) -> np.ndarray:
     """The unit right and left null vector ``z0 = sqrt(h * steady)`` of ``S``."""
     return np.sqrt(gen.grid.h * gen.steady)
@@ -239,10 +251,7 @@ def spectrum(gen: GeneratorMatrix) -> SpectrumReport:
     """
     _check_cap(gen)
     s = sparse_symmetrized(gen)
-    try:
-        vals = scipy.linalg.eigvals(s.toarray(order="F"), overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"dense eigensolver failed: {exc}") from exc
+    vals = _lapack("dense eigensolver", scipy.linalg.eigvals, s.toarray(order="F"), overwrite_a=True)
 
     vals = vals[np.lexsort((vals.imag, vals.real))]
     zero_idx = int(np.argmin(np.abs(vals)))
@@ -432,10 +441,7 @@ def psi_sweep(
     eye = np.eye(s_c.shape[0])
 
     def dense_sig_min(lam: float) -> float:
-        try:
-            values = scipy.linalg.svdvals(s_c - 1j * lam * eye)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise NumericalError(f"SVD failed at lambda = {lam}: {exc}") from exc
+        values = _lapack(f"SVD at lambda = {lam}", scipy.linalg.svdvals, s_c - 1j * lam * eye)
         # Drop the z0 block's singular value; the rest are those of S0 - i lambda.
         return float(np.delete(values, np.argmin(np.abs(values - np.hypot(c, lam))))[-1])
 
@@ -444,15 +450,9 @@ def psi_sweep(
     else:
         sig_min, workers = dense_sig_min, 1
 
-    def eigvals(matrix: np.ndarray) -> np.ndarray:
-        try:
-            return scipy.linalg.eigvals(matrix)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise NumericalError(f"dense eigensolver failed: {exc}") from exc
-
     # sigma_min at lambda = Im mu is at most |Re mu|, so the rightmost
     # eigenvalues give a starting level close to the infimum.
-    mu = eigvals(s_c)
+    mu = _lapack("dense eigensolver", scipy.linalg.eigvals, s_c)
     seeds = np.unique(np.abs(mu[np.argsort(mu.real)[-8:]].imag))
     grid = np.linspace(0.0, lambda_max, coarse_points)
     points = np.concatenate([grid, seeds])
@@ -465,7 +465,7 @@ def psi_sweep(
         gamma, argmin = float(sigmas[best]), float(points[best])
         level = gamma * (1.0 - RANK_TOL)
         ham = np.block([[s_c, -level * eye], [level * eye, -s_c.T]])
-        vals = eigvals(ham)
+        vals = _lapack("dense eigensolver", scipy.linalg.eigvals, ham)
         crossings = np.unique(np.abs(vals[np.abs(vals.real) <= axis_tol].imag))
         at_crossings = _sigma_min_batch(sig_min, crossings, workers)
         genuine = at_crossings < gamma

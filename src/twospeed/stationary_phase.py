@@ -59,7 +59,6 @@ _CHUNK = 32768
 class PhaseSweep:
     """Sweep record of ``|I(lambda)|`` over a geometric frequency grid."""
 
-    psi: object
     lambdas: np.ndarray
     moduli: np.ndarray
     values: np.ndarray
@@ -156,7 +155,6 @@ def lemma_sweep(psi, lambda_min: float, lambda_max: float, points: int) -> Phase
     tail = moduli[points // 2 :]
     limsup = float(tail.max())
     return PhaseSweep(
-        psi=psi,
         lambdas=lambdas,
         moduli=moduli,
         values=values,

@@ -34,19 +34,18 @@ import numpy as np
 from .errors import (
     DegenerateFieldError,
     NonUniqueSteadyStateError,
+    NumericalError,
     PositivityError,
     ShapeError,
 )
 from .fields import DEGENERACY_FLOOR, FieldSpec, evaluate
+from .generator import RANK_TOL
 from .quadrature import trapezoid_weights
 
 #: Integrator steps across ``[0, x]`` in :func:`fundamental_matrix`, and
 #: the least number across ``[0, 1]`` in :func:`solve_steady`; read at
 #: call time.
 DEFAULT_STEPS = 4096
-
-#: Relative rank tolerance for the fixed-space extraction from Phi(1) - I.
-RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -119,22 +118,33 @@ def _rk4_sweep(mats: np.ndarray, y: np.ndarray, h: float, record_every: int = 0)
     ``record_every = r > 0`` the state is recorded after every ``r``
     steps (plus the initial state) and the stacked record is returned;
     otherwise only the final state is returned.
+
+    A coupling too stiff for the step makes RK4 unstable; the state then
+    overflows, and :class:`NumericalError` is raised instead of returning
+    a non-finite result.
     """
     steps = (len(mats) - 1) // 2
     eye = np.eye(2)
-    k1, mid = mats[:-1:2], mats[1::2]
-    k2 = mid @ (eye + (0.5 * h) * k1)
-    k3 = mid @ (eye + (0.5 * h) * k2)
-    k4 = mats[2::2] @ (eye + h * k3)
-    props = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    if record_every:
-        out = np.empty((steps // record_every + 1,) + y.shape)
-        out[0] = y
-    for k in range(steps):
-        y = props[k] @ y
-        if record_every and (k + 1) % record_every == 0:
-            out[(k + 1) // record_every] = y
-    return out if record_every else y
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1, mid = mats[:-1:2], mats[1::2]
+        k2 = mid @ (eye + (0.5 * h) * k1)
+        k3 = mid @ (eye + (0.5 * h) * k2)
+        k4 = mats[2::2] @ (eye + h * k3)
+        props = eye + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if record_every:
+            out = np.empty((steps // record_every + 1,) + y.shape)
+            out[0] = y
+        for k in range(steps):
+            y = props[k] @ y
+            if record_every and (k + 1) % record_every == 0:
+                out[(k + 1) // record_every] = y
+    result = out if record_every else y
+    if not np.isfinite(result).all():
+        raise NumericalError(
+            f"flux ODE too stiff for {steps} RK4 steps: h * sigma/|b| reaches "
+            f"{h * np.abs(mats).max():.3g}, and Phi overflows"
+        )
+    return result
 
 
 def fundamental_matrix(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, x: float) -> np.ndarray:
@@ -152,6 +162,8 @@ def fundamental_matrix(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, x: float)
         the path.
     DomainError
         If ``x`` lies outside ``[0, 1]``.
+    NumericalError
+        If the coupling is too stiff for the steps and ``Phi`` overflows.
     """
     if x == 0.0:
         return np.eye(2)
@@ -179,6 +191,8 @@ def solve_steady(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, n: int) -> Stea
         failure; analytically the dimension is exactly one).
     PositivityError
         If the recovered profile changes sign.
+    NumericalError
+        If the coupling is too stiff for the steps and ``Phi`` overflows.
     """
     if n < 8:
         raise ValueError("steady-state grid needs at least 8 cells")

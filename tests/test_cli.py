@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import yaml
 
+import twospeed as ts
 import twospeed.cli
 from twospeed.cli import load_config, main
 from twospeed.errors import NumericalError
-from twospeed.textio import read_csv_columns
+from twospeed.textio import read_csv_columns, write_csv
 
 from child_processes import assert_no_child_processes
 
@@ -229,7 +230,7 @@ def test_evolve_with_steady_initial_data(tmp_path, capsys):
     assert report["alpha_hat"] is None
 
 
-def test_evolve_from_csv_initial_data(gt_config, tmp_path):
+def test_evolve_from_csv_initial_data(gt_config, gt_fields, tmp_path):
     # reuse the steady-state CSV layout (node-based) as initial data
     assert main(_args(gt_config, "steady")) == 0
     config = (tmp_path / "run2.yaml")
@@ -242,6 +243,40 @@ def test_evolve_from_csv_initial_data(gt_config, tmp_path):
     assert main(_args(config, "evolve")) == 0
     cols = read_csv_columns(tmp_path / "out2" / "timeseries.csv")
     assert np.abs(cols["deviation"]).max() < 1e-11
+    # n cell rows are taken as they are: the default steady-plus-mode
+    # state, written per cell, evolves to the same series.
+    gen = ts.assemble(*gt_fields, ts.Grid(64))
+    p0 = ts.steady_plus_mode(gen, 1, 0.01)
+    write_csv(tmp_path / "cells.csv", [("x", p0.x), ("p1", p0.p1.real), ("p2", p0.p2.real)])
+    config.write_text(
+        GT_CONFIG.format(out=tmp_path / "cells").replace(
+            "initial: {type: steady-plus-mode, k: 1, amplitude: 0.01}",
+            "initial: {type: from-csv, path: cells.csv}",
+        )
+    )
+    assert main(_args(gt_config, "evolve")) == 0
+    assert main(_args(config, "evolve")) == 0
+    built_in = read_csv_columns(tmp_path / "out" / "timeseries.csv")
+    from_csv = read_csv_columns(tmp_path / "cells" / "timeseries.csv")
+    for name in ("t", "mass", "entropy", "dissipation", "deviation"):
+        assert np.array_equal(built_in[name], from_csv[name]), name
+
+
+def test_evolve_writes_snapshots(gt_config, gt_fields, tmp_path):
+    config = gt_config.read_text().replace("observe_every: 5", "observe_every: 5\n  snapshot_every: 1000")
+    gt_config.write_text(config)
+    assert main(_args(gt_config, "evolve")) == 0
+    gen = ts.assemble(*gt_fields, ts.Grid(64))
+    series = ts.evolve(gen, ts.steady_plus_mode(gen, 1, 0.01), 8.0, 0.002, observe_every=5, snapshot_every=1000)
+    # Steps 0, 1000, ..., 4000 of T / dt = 4000.
+    assert len(series.snapshots) == 5
+    files = sorted((tmp_path / "out").glob("snapshot_*.csv"))
+    assert [f.name for f in files] == [f"snapshot_{i:04d}.csv" for i in range(5)]
+    for path, (_, snap) in zip(files, series.snapshots):
+        cols = read_csv_columns(path)
+        assert list(cols) == ["x", "p1_re", "p1_im", "p2_re", "p2_im"]
+        for name, want in zip(cols, (snap.x, snap.p1.real, snap.p1.imag, snap.p2.real, snap.p2.imag)):
+            assert np.array_equal(cols[name], want), (path.name, name)
 
 
 @pytest.mark.parametrize(
@@ -270,13 +305,17 @@ def test_malformed_initial_csv_is_config_error(tmp_path, capsys, text):
 
 
 def test_lemma_artifacts(gt_config, tmp_path):
-    assert main(_args(gt_config, "lemma")) == 0
-    report = json.loads((tmp_path / "out" / "lemma.report.json").read_text())
-    assert report["lemma_consistent"] is True
-    cols = read_csv_columns(tmp_path / "out" / "lemma.csv")
-    # from-fields slope is the constant 2
-    expected = np.abs(np.sin(cols["lambda"]) / cols["lambda"])
-    assert np.abs(cols["modulus"] - expected).max() < 1e-8
+    # The from-fields slope 1/b1 - 1/b2 is the constant 2, and so is the
+    # explicit affine slope 2 + 0 x (swapped, a and b would give 2 x).
+    explicit = tmp_path / "explicit.yaml"
+    explicit.write_text(gt_config.read_text().replace("lemma:", "lemma:\n  psi: {kind: affine, a: 2.0, b: 0.0}"))
+    for config, out in ((gt_config, tmp_path / "out"), (explicit, tmp_path / "explicit")):
+        assert main(_args(config, "lemma", "--out", str(out))) == 0
+        report = json.loads((out / "lemma.report.json").read_text())
+        assert report["lemma_consistent"] is True
+        cols = read_csv_columns(out / "lemma.csv")
+        expected = np.abs(np.sin(cols["lambda"]) / cols["lambda"])
+        assert np.abs(cols["modulus"] - expected).max() < 1e-8, config.name
 
 
 def test_report_consistent_run(gt_config, tmp_path, capsys):
@@ -405,6 +444,18 @@ def test_report_split_is_byte_identical(split_config, tmp_path, monkeypatch, cap
     assert {"timeseries.csv", "lemma.csv", "report.json"} <= set(names)
     for name in names:
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["steady", "report"])
+def test_stiff_flux_ode_is_a_numerical_error(tmp_path, capsys, caller_state, command):
+    # At sigma = 1e5 RK4's flux propagator overflows. The error is a typed
+    # numerical one (exit 3), not a LinAlgError traceback from the SVD of
+    # a non-finite Phi(1).
+    path = tmp_path / "stiff.yaml"
+    path.write_text(SPLIT_CONFIG.format(n=16).replace("\ngrid:", "\n  sigma: {kind: constant, value: 1.0e+5}\ngrid:"))
+    assert main(_args(path, command, "--out", str(tmp_path / "out"))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: flux ODE too stiff") and err.count("\n") == 1
 
 
 def _failing(message):

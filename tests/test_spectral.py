@@ -144,18 +144,22 @@ def test_psi_sweep_mirror_symmetry(gen_gt_64):
         assert plus == pytest.approx(minus, abs=1e-11)
 
 
-def test_psi_certificate_ignores_sweep_range(gen_variant_64):
+@pytest.mark.parametrize("n", [64, 96])
+def test_psi_certificate_ignores_sweep_range(variant_fields, n):
     # The coarse grid only seeds the level-set iteration, so a sweep that
     # stops short of the minimum, or reaches six times as far as ||S0||_2,
-    # still certifies the same gap.
-    full = ts.psi_sweep(gen_variant_64)
-    wide = ts.psi_sweep(gen_variant_64, lambda_max=transport_lambda_max(gen_variant_64))
-    assert full.lambda_max == default_lambda_max(gen_variant_64) < wide.lambda_max
+    # still certifies the same gap, on the dense route (n = 64) and on
+    # the sparse one (n = 96).
+    gen = ts.assemble(*variant_fields, ts.Grid(n))
+    assert (gen.size >= SPARSE_SIGMA_MIN_SIDE) == (n == 96)
+    full = ts.psi_sweep(gen)
+    wide = ts.psi_sweep(gen, lambda_max=transport_lambda_max(gen))
+    assert full.lambda_max == default_lambda_max(gen) < wide.lambda_max
     assert wide.psi_hat == pytest.approx(full.psi_hat, rel=1e-12)
     assert wide.refinement_depth == full.refinement_depth
-    short = ts.psi_sweep(gen_variant_64, lambda_max=1.0, coarse_points=16, refine_depth=5)
+    short = ts.psi_sweep(gen, lambda_max=1.0, coarse_points=16, refine_depth=5)
     assert short.psi_hat == pytest.approx(full.psi_hat, rel=1e-9)
-    assert short.psi_hat <= abs(ts.spectrum(gen_variant_64).x0_abscissa)
+    assert short.psi_hat <= abs(ts.spectrum(gen).x0_abscissa)
 
 
 @pytest.mark.parametrize("fixture", ["gen_variant_64", "gen_variant_128", "gen_gt_96"])
@@ -421,17 +425,6 @@ def test_far_sweep_range_keeps_the_certificate(variant_fields, n):
         est = ts.psi_sweep(gen, lambda_max=lambda_max, coarse_points=16)
         assert est.psi_hat == pytest.approx(auto.psi_hat, rel=1e-12, abs=0.0), lambda_max
         assert est.psi_hat <= scipy.linalg.svdvals(s0 - 1j * est.argmin_lambda * eye)[-1], lambda_max
-
-
-def test_sparse_psi_certificate_ignores_sweep_range(variant_fields):
-    # test_psi_certificate_ignores_sweep_range on the sparse route.
-    gen = ts.assemble(*variant_fields, ts.Grid(96))
-    assert gen.size == SPARSE_SIGMA_MIN_SIDE
-    auto = ts.psi_sweep(gen)
-    wide = ts.psi_sweep(gen, lambda_max=transport_lambda_max(gen))
-    assert auto.lambda_max == default_lambda_max(gen) < wide.lambda_max
-    assert auto.psi_hat == pytest.approx(wide.psi_hat, rel=1e-12)
-    assert auto.refinement_depth == wide.refinement_depth
 
 
 def test_broken_norm_bound_raises_numerical_error(gen_gt_64, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import twospeed as ts
-from twospeed.errors import DegenerateFieldError, NonUniqueSteadyStateError
+from twospeed.errors import DegenerateFieldError, NonUniqueSteadyStateError, NumericalError
 from twospeed.quadrature import trapezoid_weights
 from twospeed.steady_state import DEFAULT_STEPS, _coupling_matrices, _rk4_sweep
 
@@ -65,6 +65,18 @@ def test_degenerate_field_raises():
     b2 = ts.FieldSpec.constant(1.0)
     with pytest.raises(DegenerateFieldError):
         ts.fundamental_matrix(b1, b2, ts.FieldSpec.constant(1.0), 1.0)
+
+
+def test_stiff_coupling_raises_numerical_error(variant_fields):
+    # h * sigma / |b| reaches 41 at sigma = 1e5, past RK4's stability
+    # interval, so Phi overflows. The GT flux matrix is nilpotent, so GT
+    # fields stay finite at any sigma.
+    b1, b2, _ = variant_fields
+    sigma = ts.FieldSpec.constant(1.0e5)
+    with pytest.raises(NumericalError, match="too stiff"):
+        ts.fundamental_matrix(b1, b2, sigma, 1.0)
+    with pytest.raises(NumericalError, match="too stiff"):
+        ts.solve_steady(b1, b2, sigma, 16)
 
 
 def test_goldstein_taylor_steady_state(gt_fields):
