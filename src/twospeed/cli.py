@@ -19,10 +19,10 @@ Subcommands
     stage's result, in a ``fork``ed child beside steady, spectrum and
     psi (:func:`twospeed.forking._fork_map`).  The child calls
     ``os.nice(19)``, so it takes the CPU that the rest of the report
-    leaves idle (the spectrum, the dense eigensolves, the polish) rather
-    than slow the psi sweep's ``sigma_min`` batches, which are on the
-    critical path.  It writes its CSVs itself and pipes back its stage
-    results.  Errors keep the order of a serial run: a failed
+    leaves idle (the spectrum, and the psi sweep's dense SVDs below
+    ``n = 96``) rather than slow the psi sweep's ``sigma_min`` batches,
+    which are on the critical path.  It writes its CSVs itself and pipes
+    back its stage results.  Errors keep the order of a serial run: a failed
     steady, spectrum or psi stage kills the child and raises; a failure
     in the child raises once those stages have succeeded, evolve's
     before lemma's.  A report that fails in steady, spectrum or psi may
@@ -30,8 +30,8 @@ Subcommands
     one CPU in the affinity mask every stage runs in-process in table
     order.  With one BLAS thread (``OMP_NUM_THREADS=1
     OPENBLAS_NUM_THREADS=1``) the files are the same byte for byte
-    either way; a threaded BLAS may change the last digits of the dense
-    eigensolves with the number of CPUs it runs on.
+    either way; a threaded BLAS may change the last digits of the
+    spectrum's dense eigensolve with the number of CPUs it runs on.
 
 Every command but ``validate`` passes the same admissibility gate first.
 
@@ -503,13 +503,14 @@ def _psi(cfg: RunConfig, gen):
     est = psi_sweep(gen, cfg.lambda_max, cfg.coarse_points, cfg.refine_depth)
     write_csv(
         cfg.out_dir / "psi_sweep.csv",
-        [("lambda", est.lambda_grid), ("sigma_min", est.sigma_min_values)],
+        [("lambda", est.lambda_grid), ("sigma_min", est.sigma_min_values), ("lower_bound", est.lower_bounds)],
         cfg.meta(),
     )
     section = {
         "psi_hat": est.psi_hat,
         "argmin_lambda": est.argmin_lambda,
         "lambda_max": est.lambda_max,
+        "norm_bound": est.norm_bound,
         "refinement_depth": est.refinement_depth,
     }
     return est, section, f"psi_hat={est.psi_hat:.6g} at lambda={est.argmin_lambda:.6g}"

@@ -23,40 +23,38 @@ the generator sum to zero.  So Hotelling's rank-one deflation
 ``S_c = S + c z0 z0^T`` (:func:`restricted_operator`) is block
 diagonal: ``S0``, ``S`` on the complement, and ``c`` on ``z0``.  The
 shift is ``c = -3 beta`` with ``beta >= ||S0||_2``
-(:func:`default_lambda_max`) whatever range a sweep samples, so every
-dense solve on ``S_c`` errs by about ``eps beta``, not by ``eps`` times
-the range.  The singular values of ``S_c - i lambda`` are those of
-``S0 - i lambda`` and the block's ``|c - i lambda| = hypot(c, lambda)``.
-Weyl gives ``sigma_min(S0 - i lambda) <= beta + |lambda|``, so the block
-can be the smallest only where ``c^2 < beta^2 + 2 beta |lambda|``, that
-is for ``|lambda| > 4 beta``; with that one value dropped, the smallest
-singular value left,
+(:func:`default_lambda_max`), so every dense solve on ``S_c`` errs by
+about ``eps beta``.  The singular values of ``S_c - i lambda`` are those
+of ``S0 - i lambda`` and the block's ``|c - i lambda| >= 3 beta``.  The
+psi sweep samples only ``0 <= lambda <= 2 beta``, where Weyl gives
+``sigma_min(S0 - i lambda) <= beta + lambda <= 3 beta``, so there the
+smallest singular value of ``S_c - i lambda`` is
 
-    sigma_min( S0 - i lambda ),
+    f(lambda) = sigma_min( S0 - i lambda ),
 
-is the distance-to-singularity of the shifted generator on the
-mean-zero subspace.  The resolvent gap ``psi`` is its infimum over all
-real ``lambda``.  It is certified by the level-set iteration of Byers
-(SIAM J. Sci. Stat. Comput. 1988) in the form of Boyd & Balakrishnan
-(Syst. Control Lett. 1990): ``g`` is a singular value of
-``S_c - i w`` for a real ``w`` exactly when the Hamiltonian matrix
+the distance-to-singularity of the shifted generator on the mean-zero
+subspace.  The resolvent gap ``psi`` is its infimum over all real
+``lambda``.  ``S0`` is real, so ``f`` is even and
 
-    H(g) = [[S_c, -g I], [g I, -S_c^T]]
+    f(lambda)^2 = lambda^2 + phi(lambda),
+    phi(lambda) = lambda_min( S0^T S0 + i lambda (S0 - S0^T) ),
 
-has the eigenvalue ``i w``; the block ``c`` adds the pair
-``+-sqrt(c^2 - g^2)``, real as ``g <= beta < |c|``.  If ``H(g)`` has no
-eigenvalue on the imaginary axis, the continuous function
-``sigma_min(S0 - i lambda)``, which grows like ``|lambda|``, never meets
-``g``, so ``g`` is a lower bound on all of R.  The dense eigensolve of
-``H``, of side ``4n``, is the certificate's cost, so the level it tests
-is first polished to a local minimum of the samples (:func:`psi_sweep`):
-set just below that minimum, one Hamiltonian certifies.
+the smallest eigenvalue of an affine Hermitian family: a minimum of
+affine functions of ``lambda``, so ``phi`` is concave (Lewis & Overton,
+*Eigenvalue optimization*, Acta Numerica 1996).  On any ``[a, b]`` it
+lies on or above its chord, so ``f^2`` lies above ``lambda^2`` plus that
+chord, a convex quadratic whose minimum on ``[a, b]`` has a closed form.
+Past ``L = beta + f(0)`` Weyl gives ``f(lambda) >= lambda - beta >= f(0)``.
+:func:`psi_sweep` is a branch and bound on these two bounds; it needs no
+curvature bound, no eigensolve and no local search.  The level-set test
+of Byers (SIAM J. Sci. Stat. Comput. 1988), a dense Hamiltonian of side
+``4n``, stays in the tests as its oracle.
 
 ``sigma_min`` itself comes from one of two routes, picked by the
 matrix side ``2n`` (:data:`SPARSE_SIGMA_MIN_SIDE`).  Small matrices take
-the smallest singular value of the dense ``S_c - i lambda`` but the
-block's.  Large ones work on ``S`` itself, which keeps the generator's
-at most four non-zeros per column: since ``z0^T S = 0``, one sparse LU
+the smallest singular value of the dense ``S_c - i lambda``.  Large
+ones work on ``S`` itself, which keeps the generator's at most four
+non-zeros per column: since ``z0^T S = 0``, one sparse LU
 of the bordered matrix
 
     B(lambda) = [[S - i lambda I, z0], [z0^T, 0]],
@@ -106,12 +104,12 @@ import scipy.sparse.linalg
 
 from .errors import ConfigurationError, NumericalError
 from .forking import _fork_map, _worker_count
-from .generator import RANK_TOL, GeneratorMatrix, bordered_sigma_min, sparse_symmetrized, symmetrized
+from .generator import LANCZOS_TOL, RANK_TOL, GeneratorMatrix, bordered_sigma_min, sparse_symmetrized, symmetrized
 
 #: Hard cap on the dense eigen/SVD problem size (matrix side 2n).
 DENSE_CAP = 4096
 
-#: Defaults: coarse sweep resolution and the cap on level-set iterations.
+#: Defaults: the uniform first samples of the psi sweep and the cap on its rounds.
 COARSE_POINTS = 512
 REFINE_DEPTH = 40
 
@@ -135,12 +133,6 @@ MIN_COARSE_POINTS = 16
 #: their ``psi_sweep.csv`` bytes.
 SPARSE_SIGMA_MIN_SIDE = 192
 
-#: Golden-section fraction and relative abscissa tolerance of the polish
-#: in :func:`psi_sweep`.
-_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
-_POLISH_XTOL = float(np.sqrt(np.finfo(float).eps))
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Full spectrum with the zero mode and stability bookkeeping.
@@ -160,17 +152,24 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class PsiEstimate:
-    """Coarse resolvent sweep and the certified resolvent gap.
+    """Samples of ``sigma_min(S0 - i lambda)``, their chord bounds and the certified resolvent gap.
 
-    ``psi_hat`` bounds ``sigma_min`` below on all of R and lies within
-    ``RANK_TOL`` relative of its infimum, attained near ``argmin_lambda``.
+    ``lambda_grid`` holds every sample, sorted, from 0 to
+    ``L = norm_bound + sigma_min(S0)``, and ``sigma_min_values`` the
+    values there.  ``lower_bounds[k]`` bounds ``sigma_min`` below on
+    ``[lambda_grid[k], lambda_grid[k + 1]]``, and the last one, Weyl's
+    ``L - norm_bound``, past ``L``.  ``psi_hat`` is at most each of
+    them, so it bounds ``sigma_min`` below on all of R; it lies
+    ``RANK_TOL`` relative below the smallest sample, at ``argmin_lambda``.
     """
 
     lambda_grid: np.ndarray
     sigma_min_values: np.ndarray
+    lower_bounds: np.ndarray
     psi_hat: float
     argmin_lambda: float
     lambda_max: float
+    norm_bound: float
     refinement_depth: int
 
 
@@ -211,9 +210,10 @@ def restricted_operator(gen: GeneratorMatrix):
     """Dense ``S_c = S + c z0 z0^T`` and its shift ``c = -3 beta``, ``beta`` = :func:`default_lambda_max`.
 
     ``c <= -beta`` keeps the block ``c`` out of the propagator norm and
-    ``|c| > beta >= gamma`` keeps its Hamiltonian pair off the imaginary
-    axis (module docstring).  The shift does not grow with the sweep
-    range: its size sets the rounding of the dense solves on ``S_c``.
+    ``|c| = 3 beta`` keeps its singular value out of ``sigma_min`` for
+    ``|lambda| <= 2 beta`` (module docstring).  The shift does not grow
+    with the sweep range: its size sets the rounding of the dense solves
+    on ``S_c``.
     """
     _check_cap(gen)
     c = -3.0 * default_lambda_max(gen)
@@ -301,77 +301,6 @@ def default_lambda_max(gen: GeneratorMatrix) -> float:
     return bound
 
 
-def _polish_best(sig_min, points: np.ndarray, sigmas: np.ndarray):
-    """Add samples that polish the smallest one to a local minimum of ``sig_min``.
-
-    The bracket is the pair of samples nearest the smallest one further
-    than the tolerance ``sqrt(eps) (|lambda| + sigma)`` from it (that
-    sample itself at either end), so a twin at rounding distance cannot
-    pin it shut.  The search in it is Brent's safeguarded minimiser
-    (Algorithms for Minimization without Derivatives, 1973, ch. 5): a
-    parabola through the three best points when its step is trusted, a
-    golden-section step otherwise, until the minimiser is known to that
-    tolerance, where the value is settled to rounding.  Every value it
-    computes is returned with the given samples; none is ever dropped.
-    """
-    best = int(np.argmin(sigmas))
-    x, fx = float(points[best]), float(sigmas[best])
-    tol = _POLISH_XTOL * (abs(x) + fx)
-    lower, upper = points[points < x - tol], points[points > x + tol]
-    a = float(lower.max()) if len(lower) else x
-    b = float(upper.min()) if len(upper) else x
-    new_points, new_sigmas = [], []
-    w = v = x
-    fw = fv = fx
-    step = last = 0.0
-    while True:
-        mid = 0.5 * (a + b)
-        tol = _POLISH_XTOL * (abs(x) + fx)
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            break
-        p = q = 0.0
-        prev = last
-        width = b - a
-        if abs(last) > tol:
-            # Abscissa offsets in units of the bracket width, so that no
-            # product overflows on a bracket of 1e150 or more.
-            r = (x - w) / width * (fx - fv)
-            q = (x - v) / width * (fx - fw)
-            p = (x - v) / width * q - (x - w) / width * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            last = step
-        if abs(p) < abs(0.5 * q * prev / width) and q * (a - x) / width < p < q * (b - x) / width:
-            step = p / q * width  # parabolic step
-            if x + step - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
-                step = tol if x < mid else -tol
-        else:
-            last = (b if x < mid else a) - x  # golden-section step
-            step = _GOLDEN * last
-        u = x + (step if abs(step) >= tol else np.copysign(tol, step))
-        fu = sig_min(u)
-        new_points.append(u)
-        new_sigmas.append(fu)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v in (x, w):
-                v, fv = u, fu
-    return np.concatenate([points, new_points]), np.concatenate([sigmas, new_sigmas])
-
-
 def _sigma_min_batch(sig_min, lams: np.ndarray, workers: int) -> np.ndarray:
     """``[sig_min(lam) for lam in lams]``, split over forked worker processes.
 
@@ -394,42 +323,82 @@ def _sigma_min_batch(sig_min, lams: np.ndarray, workers: int) -> np.ndarray:
     return values
 
 
+def _allowance(lams: np.ndarray, sigmas: np.ndarray, beta: float) -> np.ndarray:
+    """Rounding allowance of ``phi = sigma_min^2 - lambda^2`` at each sample (:func:`psi_sweep`)."""
+    eps = np.finfo(float).eps
+    err = LANCZOS_TOL * sigmas + 32.0 * eps * (beta + lams)
+    return (2.0 * sigmas + err) * err + 8.0 * eps * (sigmas**2 + lams**2)
+
+
+def _chord_bounds(lams: np.ndarray, sigmas: np.ndarray, beta: float):
+    """Lower bound on ``sigma_min^2`` over each ``[lams[k], lams[k + 1]]`` and where it is attained.
+
+    ``lambda^2`` plus the chord of the lowered ``phi`` is a convex
+    quadratic of leading coefficient 1, smallest at minus half the
+    chord's slope, clipped to the interval.
+    """
+    phi = sigmas**2 - lams**2 - _allowance(lams, sigmas, beta)
+    left, right = lams[:-1], lams[1:]
+    at = np.clip(-0.5 * np.diff(phi) / np.diff(lams), left, right)
+    t = (at - left) / (right - left)
+    return at**2 + (1.0 - t) * phi[:-1] + t * phi[1:], at
+
+
 def psi_sweep(
     gen: GeneratorMatrix,
     lambda_max: float = 0.0,
     coarse_points: int = COARSE_POINTS,
     refine_depth: int = REFINE_DEPTH,
 ) -> PsiEstimate:
-    """Certify the resolvent gap ``psi`` of ``S0``.
+    """Certify the resolvent gap ``psi`` of ``S0`` by chords of the concave ``phi``.
 
-    ``sigma_min(S0 - i lambda)`` is sampled on a uniform coarse grid over
-    ``[0, lambda_max]`` for the ``psi_sweep.csv`` artifact;
-    ``lambda_max = 0`` selects :func:`default_lambda_max`.  The range only
-    places the samples; an explicit one is used as given.  The grid
-    values and the values at the imaginary parts of the eight
-    rightmost eigenvalues of ``S_c`` are the first samples.  Each
-    level-set iteration (at most ``refine_depth``) polishes the smallest
-    sample to a local minimum of ``sigma_min`` (``_polish_best``); the
-    smallest value computed so far is the level ``gamma``.  It then finds
-    the imaginary-axis eigenvalues ``i w`` of ``H(gamma (1 - RANK_TOL))``,
-    keeps the crossings ``w`` whose direct ``sigma_min`` lies below
-    ``gamma``, and adds the values there and at the midpoints between
-    consecutive ones to the samples.  With no crossing left,
-    ``gamma (1 - RANK_TOL)`` is the certified ``psi_hat``, a lower bound
-    on all of R; hitting the cap raises :class:`NumericalError`.  The
-    polish only chooses which computed ``sigma_min`` becomes ``gamma``;
-    it puts the first level below the minimum, so one Hamiltonian
-    certifies on every field set measured (the GT and variant fields and
-    the benchmark's field box at ``n`` = 32 to 256).
+    ``f(lambda) = sigma_min(S0 - i lambda)`` is sampled at the points of
+    the uniform grid of ``coarse_points`` over ``[0, lambda_max]``
+    (``lambda_max = 0`` selects ``beta`` = :func:`default_lambda_max`;
+    an explicit range is used as given) that lie below
+    ``L = beta + f(0)``, and at ``L``.  Past ``L``, Weyl gives
+    ``f >= lambda - beta >= f(0)``; on ``[0, L]`` each pair of
+    neighbouring samples bounds ``f^2`` below by ``lambda^2`` plus the
+    chord of ``phi = f^2 - lambda^2`` (module docstring).  Each round
+    takes the smallest sample ``best`` and the level
+    ``best (1 - RANK_TOL)``, and samples ``f`` at the minimiser of every
+    interval whose bound lies below the level; when none does, the level
+    is the certified ``psi_hat``, a lower bound on all of R, and
+    ``refinement_depth`` counts the rounds, this one included.  A round
+    at the cap ``refine_depth`` that still finds such an interval raises
+    :class:`NumericalError`.  The range only places the first samples,
+    so the certificate does not depend on it beyond ``RANK_TOL``.
+
+    Rounding.  Each computed ``phi_k`` is lowered by an allowance before
+    it enters a chord.  A sample ``f_k`` errs by at most
+    ``e_k = LANCZOS_TOL f_k + 32 eps (beta + lambda_k)``.  The first term
+    is the sparse route's stopping rule: the Ritz value lies within
+    ``LANCZOS_TOL`` relative of an eigenvalue of ``B^{-H} B^{-1}``.  That
+    it is the top one is trusted, not proved; a Ritz value can only
+    underestimate the top eigenvalue, so a wrong one overestimates
+    ``f``.  The second covers a backward-stable SVD of
+    ``S_c - i lambda``, whose norm is at most ``3 beta + lambda``, and
+    the sparse LU's solves.  So ``phi_k`` errs
+    by at most ``(2 f_k + e_k) e_k`` through the sample.  Forming
+    ``f_k^2 - lambda_k^2``, which cancels near ``lambda = beta``, and the
+    chord's quadratic at its minimiser add less than
+    ``8 eps (f_k^2 + lambda_k^2)``.  The allowance is the sum of the two.
+
+    Each new sample must lie on or above its interval's bound, less its
+    own allowance: by concavity it cannot lie below, so a sample that
+    does breaches the ``sigma_min`` tolerance and raises
+    :class:`NumericalError`, as does an interval whose bound lies below
+    the level at one of its ends, where the allowance exceeds the
+    ``RANK_TOL`` margin.
 
     Every ``sigma_min`` takes the route of the module docstring.  On the
-    sparse route the grid with the seeds, the crossings, and the
-    midpoints between genuine ones are three batches for
-    :func:`_sigma_min_batch`, bit-identical to a serial sweep; the polish
-    runs in the calling process.
+    sparse route the grid and each round's new samples are one batch for
+    :func:`_sigma_min_batch` each, bit-identical to a serial sweep, and
+    no dense matrix is formed.
     """
+    beta = default_lambda_max(gen)
     if lambda_max == 0.0:
-        lambda_max = default_lambda_max(gen)
+        lambda_max = beta
     if not (lambda_max > 0.0 and np.isfinite(lambda_max)):
         raise ConfigurationError(f"lambda_max must be positive and finite, got {lambda_max!r}")
     if coarse_points < MIN_COARSE_POINTS:
@@ -437,49 +406,54 @@ def psi_sweep(
     if refine_depth < 1:
         raise ConfigurationError("refine_depth must be at least 1")
 
-    s_c, c = restricted_operator(gen)
-    eye = np.eye(s_c.shape[0])
-
-    def dense_sig_min(lam: float) -> float:
-        values = _lapack(f"SVD at lambda = {lam}", scipy.linalg.svdvals, s_c - 1j * lam * eye)
-        # Drop the z0 block's singular value; the rest are those of S0 - i lambda.
-        return float(np.delete(values, np.argmin(np.abs(values - np.hypot(c, lam))))[-1])
-
     if gen.size >= SPARSE_SIGMA_MIN_SIDE:
         sig_min, workers = sparse_sigma_min(gen), _worker_count()
     else:
-        sig_min, workers = dense_sig_min, 1
+        s_c, _ = restricted_operator(gen)
+        eye = np.eye(s_c.shape[0])
 
-    # sigma_min at lambda = Im mu is at most |Re mu|, so the rightmost
-    # eigenvalues give a starting level close to the infimum.
-    mu = _lapack("dense eigensolver", scipy.linalg.eigvals, s_c)
-    seeds = np.unique(np.abs(mu[np.argsort(mu.real)[-8:]].imag))
+        def sig_min(lam: float) -> float:
+            return float(_lapack(f"SVD at lambda = {lam}", scipy.linalg.svdvals, s_c - 1j * lam * eye)[-1])
+
+        workers = 1
+
+    f0 = sig_min(0.0)
+    top = beta + f0
     grid = np.linspace(0.0, lambda_max, coarse_points)
-    points = np.concatenate([grid, seeds])
-    sigmas = _sigma_min_batch(sig_min, points, workers)
-    values = sigmas[: len(grid)]
-    axis_tol = RANK_TOL * max(gen.operator_scale(), 1.0)
+    lams = np.append(grid[grid < top], top)
+    sigmas = np.concatenate([[f0], _sigma_min_batch(sig_min, lams[1:], workers)])
     for depth in range(1, refine_depth + 1):
-        points, sigmas = _polish_best(sig_min, points, sigmas)
         best = int(np.argmin(sigmas))
-        gamma, argmin = float(sigmas[best]), float(points[best])
-        level = gamma * (1.0 - RANK_TOL)
-        ham = np.block([[s_c, -level * eye], [level * eye, -s_c.T]])
-        vals = _lapack("dense eigensolver", scipy.linalg.eigvals, ham)
-        crossings = np.unique(np.abs(vals[np.abs(vals.real) <= axis_tol].imag))
-        at_crossings = _sigma_min_batch(sig_min, crossings, workers)
-        genuine = at_crossings < gamma
-        if not genuine.any():
-            return PsiEstimate(grid, values, level, argmin, float(lambda_max), depth)
-        # lambda = 0 is on the coarse grid, so sigma_min(0) >= gamma and the
-        # interval between -w and w of the smallest crossing holds no lower value.
-        crossings = crossings[genuine]
-        mids = 0.5 * (crossings[1:] + crossings[:-1])
-        points = np.concatenate([points, crossings, mids])
-        sigmas = np.concatenate([sigmas, at_crossings[genuine], _sigma_min_batch(sig_min, mids, workers)])
+        level = float(sigmas[best]) * (1.0 - RANK_TOL)
+        squares, at = _chord_bounds(lams, sigmas, beta)
+        below = np.flatnonzero(squares < level**2)
+        if len(below) == 0:
+            bounds = np.append(np.sqrt(np.maximum(squares, 0.0)), top - beta)
+            return PsiEstimate(lams, sigmas, bounds, level, float(lams[best]), float(lambda_max), beta, depth)
+        if depth == refine_depth:
+            break
+        new = at[below]
+        stuck = (new <= lams[below]) | (new >= lams[below + 1])
+        if stuck.any():
+            k = below[np.argmax(stuck)]
+            raise NumericalError(
+                f"chord bound on [{lams[k]:.17g}, {lams[k + 1]:.17g}] lies below the level {level:.17g} "
+                "at its end: the rounding allowance exceeds the RANK_TOL margin"
+            )
+        values = _sigma_min_batch(sig_min, new, workers)
+        low = values**2 + _allowance(new, values, beta) < squares[below]
+        if low.any():
+            k = int(np.argmax(low))
+            raise NumericalError(
+                f"sigma_min({new[k]:.17g}) = {values[k]:.17g} lies below the chord bound "
+                f"{np.sqrt(max(squares[below][k], 0.0)):.17g}: phi is not concave within the rounding allowance"
+            )
+        order = np.argsort(np.concatenate([lams, new]), kind="stable")
+        lams = np.concatenate([lams, new])[order]
+        sigmas = np.concatenate([sigmas, values])[order]
     raise NumericalError(
-        f"level-set iteration found no certificate for psi in {refine_depth} iterations; "
-        f"last level {level:.6g} still meets sigma_min on the imaginary axis"
+        f"chord bounds found no certificate for psi in {refine_depth} rounds; "
+        f"{len(below)} intervals still bound sigma_min below the level {level:.6g}"
     )
 
 

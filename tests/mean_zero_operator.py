@@ -8,10 +8,11 @@ and the compression
 
     S0 = Q^T S Q,        S = D^{-1/2} A D^{1/2},
 
-of side ``2n - 1`` is the operator whose ``sigma_min(S0 - i lambda)``,
-Hamiltonian crossings and propagator norms the library reproduces with
-``S_c = S + c z0 z0^T``.  ``S0`` depends on the choice of ``Q`` only up
-to an orthogonal similarity, which leaves all three unchanged.
+of side ``2n - 1`` is the operator whose ``sigma_min(S0 - i lambda)``
+and propagator norms the library reproduces with ``S_c = S + c z0 z0^T``,
+and whose Hamiltonian crossings (``hamiltonian_oracle.py``) check the
+psi certificate.  ``S0`` depends on the choice of ``Q`` only up to an
+orthogonal similarity, which leaves all three unchanged.
 """
 
 import numpy as np

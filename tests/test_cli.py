@@ -12,6 +12,7 @@ import twospeed as ts
 import twospeed.cli
 from twospeed.cli import load_config, main
 from twospeed.errors import NumericalError
+from twospeed.generator import LANCZOS_TOL
 from twospeed.textio import read_csv_columns, write_csv
 
 from child_processes import assert_no_child_processes
@@ -211,6 +212,32 @@ def test_psi_artifacts(gt_config, tmp_path):
     assert report["psi_hat"] > 0.0
     cols = read_csv_columns(tmp_path / "out" / "psi_sweep.csv")
     assert (cols["sigma_min"] > 0.0).all()
+
+
+@pytest.mark.parametrize("n", [64, 96], ids=["dense", "sparse"])
+def test_psi_artifacts_recheck_the_certificate(gt_config, tmp_path, n):
+    # psi_sweep.csv and psi.report.json alone re-check psi_hat for all real
+    # lambda. Between neighbouring rows sigma_min^2 is at least lambda^2
+    # plus the chord of phi = sigma_min^2 - lambda^2, which is concave,
+    # each phi lowered by the rounding allowance of psi_sweep's docstring.
+    # The rows reach L = beta + sigma_min(0), past which Weyl gives
+    # sigma_min >= lambda - beta >= L - beta.
+    gt_config.write_text(gt_config.read_text().replace("n: 64", f"n: {n}"))
+    assert main(_args(gt_config, "psi")) == 0
+    report = json.loads((tmp_path / "out" / "psi.report.json").read_text())
+    cols = read_csv_columns(tmp_path / "out" / "psi_sweep.csv")
+    lam, sig, psi, beta = cols["lambda"], cols["sigma_min"], report["psi_hat"], report["norm_bound"]
+    eps = np.finfo(float).eps
+    err = LANCZOS_TOL * sig + 32.0 * eps * (beta + lam)
+    phi = sig**2 - lam**2 - (2.0 * sig + err) * err - 8.0 * eps * (sig**2 + lam**2)
+    slope = np.diff(phi) / np.diff(lam)
+    at = np.clip(-0.5 * slope, lam[:-1], lam[1:])
+    bounds = np.sqrt(np.maximum(at**2 + phi[:-1] + slope * (at - lam[:-1]), 0.0))
+    assert lam[0] == 0.0 and np.all(np.diff(lam) > 0.0)
+    assert lam[-1] == beta + sig[0] and lam[-1] - beta >= psi
+    assert bounds.min() >= psi and psi <= sig.min()
+    np.testing.assert_allclose(cols["lower_bound"][:-1], bounds, rtol=1e-12, atol=0.0)
+    assert cols["lower_bound"].min() >= psi
 
 
 def test_evolve_with_steady_initial_data(tmp_path, capsys):

@@ -215,6 +215,6 @@ def test_import_loads_no_interpolation():
 
 
 def test_psi_sweep_loads_no_optimizer():
-    # The psi polish is hand-written: importing scipy.optimize would add
-    # about a quarter of a second and 15 MB to every run's start-up.
+    # The chord certificate needs no optimizer: importing scipy.optimize
+    # would add about a quarter of a second and 15 MB to every run's start-up.
     _run_fresh(_PSI_PROBE)

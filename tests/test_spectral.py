@@ -27,6 +27,7 @@ from twospeed.spectral import (
 )
 
 from child_processes import assert_no_child_processes
+from hamiltonian_oracle import hamiltonian_crossings
 from mean_zero_operator import mean_zero_operator
 from upwind_spectrum import goldstein_taylor_upwind_eigenvalues, transport_lambda_max
 
@@ -111,7 +112,7 @@ def test_dense_cap_enforced(gen_gt_64, monkeypatch):
         ts.spectrum(gen_gt_64)
     with pytest.raises(NumericalError, match="dense solver cap 16"):
         ts.psi_sweep(gen_gt_64)
-    est = ts.PsiEstimate(np.zeros(16), np.ones(16), 1.0, 0.0, 20.0, 1)
+    est = ts.PsiEstimate(np.zeros(16), np.ones(16), np.ones(16), 1.0, 0.0, 20.0, 20.0, 1)
     with pytest.raises(NumericalError, match="dense solver cap 16"):
         ts.semigroup_bound_check(gen_gt_64, est, [0.0, 1.0])
 
@@ -146,68 +147,50 @@ def test_psi_sweep_mirror_symmetry(gen_gt_64):
 
 @pytest.mark.parametrize("n", [64, 96])
 def test_psi_certificate_ignores_sweep_range(variant_fields, n):
-    # The coarse grid only seeds the level-set iteration, so a sweep that
-    # stops short of the minimum, or reaches six times as far as ||S0||_2,
-    # still certifies the same gap, on the dense route (n = 64) and on
-    # the sparse one (n = 96).
+    # The range only places the first samples, so a sweep that stops
+    # short of the minimum, or reaches six times as far as ||S0||_2,
+    # certifies the same gap up to RANK_TOL, on the dense route (n = 64)
+    # and on the sparse one (n = 96).
     gen = ts.assemble(*variant_fields, ts.Grid(n))
     assert (gen.size >= SPARSE_SIGMA_MIN_SIDE) == (n == 96)
     full = ts.psi_sweep(gen)
     wide = ts.psi_sweep(gen, lambda_max=transport_lambda_max(gen))
     assert full.lambda_max == default_lambda_max(gen) < wide.lambda_max
-    assert wide.psi_hat == pytest.approx(full.psi_hat, rel=1e-12)
-    assert wide.refinement_depth == full.refinement_depth
-    short = ts.psi_sweep(gen, lambda_max=1.0, coarse_points=16, refine_depth=5)
-    assert short.psi_hat == pytest.approx(full.psi_hat, rel=1e-9)
+    assert wide.psi_hat == pytest.approx(full.psi_hat, rel=RANK_TOL)
+    short = ts.psi_sweep(gen, lambda_max=1.0, coarse_points=16)
+    assert short.psi_hat == pytest.approx(full.psi_hat, rel=RANK_TOL)
     assert short.psi_hat <= abs(ts.spectrum(gen).x0_abscissa)
 
 
-@pytest.mark.parametrize("fixture", ["gen_variant_64", "gen_variant_128", "gen_gt_96"])
-def test_psi_certificate_takes_one_hamiltonian(fixture, request, monkeypatch):
-    # The polished first level lies below the minimum of sigma_min, so its
-    # Hamiltonian certifies: one eigensolve of side 4n, of the deflated
-    # S_c, on the dense route (n = 64) and on the sparse one (n = 96, 128).
-    # The GT fields hold each rightmost conjugate pair twice, so two seeds
-    # are twins at rounding distance that the polish must bracket past.
-    gen = request.getfixturevalue(fixture)
-    eigvals = scipy.linalg.eigvals
-    sides = []
-
-    def counted(matrix, *args, **kwargs):
-        sides.append(matrix.shape[0])
-        return eigvals(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(twospeed.spectral.scipy.linalg, "eigvals", counted)
-    est = ts.psi_sweep(gen, coarse_points=128)
-    assert est.refinement_depth == 1
-    assert sides.count(2 * gen.size) == 1
-
-
-def test_psi_iteration_cap_raises(gen_variant_64, monkeypatch):
-    # Unpolished, the first level is the smallest raw sample, which lies
-    # above the minimum: its Hamiltonian finds crossings, so one iteration
-    # cannot certify it and a second one does.
-    monkeypatch.setattr(twospeed.spectral, "_polish_best", lambda sig_min, points, sigmas: (points, sigmas))
-    with pytest.raises(NumericalError, match="in 1 iterations"):
+def test_psi_iteration_cap_raises(gen_variant_64):
+    # Sixteen first samples do not certify on their own, so a cap of one
+    # round raises; the default cap of 40 rounds is enough.
+    with pytest.raises(NumericalError, match="in 1 rounds"):
         ts.psi_sweep(gen_variant_64, coarse_points=16, refine_depth=1)
-    assert ts.psi_sweep(gen_variant_64, coarse_points=16, refine_depth=2).refinement_depth == 2
+    assert ts.psi_sweep(gen_variant_64, coarse_points=16).refinement_depth > 1
 
 
-def test_polish_brackets_past_a_twin_of_the_smallest_sample():
-    # Seeds of a doubled eigenvalue pair differ at rounding, and so do
-    # their values. A twin between the smallest sample and the minimum
-    # must not close the bracket on that side.
-    def sig_min(lam):
-        return 0.5 + (lam - 1.3) ** 2
+def test_non_concave_sigma_min_raises_numerical_error(variant_fields, monkeypatch):
+    # |lambda - 2.3| + 0.5 makes phi = f^2 - lambda^2 convex at 2.3: the
+    # chord over the samples 2.0 and 2.5 bounds f by 0.69 at 2.4, where f
+    # is 0.6, so the sample splitting that interval lies below its bound.
+    def fake(lam):
+        return abs(lam - 2.3) + 0.5
 
-    points = np.array([0.0, 1.0, np.nextafter(1.0, 2.0), 2.0, 3.0])
-    sigmas = np.array([sig_min(lam) for lam in points])
-    sigmas[2] = np.nextafter(sigmas[1], 1.0)
-    polished_points, polished = twospeed.spectral._polish_best(sig_min, points, sigmas)
-    assert np.array_equal(polished_points[:5], points) and np.array_equal(polished[:5], sigmas)
-    best = int(np.argmin(polished))
-    assert polished_points[best] == pytest.approx(1.3, abs=1e-6)
-    assert polished[best] == pytest.approx(0.5, rel=1e-12)
+    monkeypatch.setattr(twospeed.spectral, "sparse_sigma_min", lambda gen: fake)
+    gen = ts.assemble(*variant_fields, ts.Grid(96))
+    with pytest.raises(NumericalError, match="not concave"):
+        ts.psi_sweep(gen, lambda_max=7.5, coarse_points=16)
+    assert_no_child_processes()
+
+
+def test_psi_margin_below_the_rounding_allowance_raises(gen_variant_64, monkeypatch):
+    # With no margin the level is the smallest sample itself, and the
+    # chord bound beside it lies below the level by the allowance at that
+    # sample: no split can lift it.
+    monkeypatch.setattr(twospeed.spectral, "RANK_TOL", 0.0)
+    with pytest.raises(NumericalError, match="allowance exceeds the RANK_TOL margin"):
+        ts.psi_sweep(gen_variant_64, coarse_points=16)
 
 
 def test_psi_certificate_is_tight_lower_bound():
@@ -241,21 +224,6 @@ def test_psi_certificate_is_tight_lower_bound():
         ).fun
         assert est.psi_hat <= min(values.min(), polished), f"draw {draw}"
         assert polished <= est.psi_hat * (1.0 + 1e-6), f"draw {draw}"
-
-
-def test_polish_survives_a_bracket_of_1e150():
-    # Unscaled, the parabolic step's products of abscissa and value
-    # differences overflow on this bracket.
-    def sig_min(lam):
-        return abs(lam - 5.0) + 1.0
-
-    points = np.array([0.0, 7.0, 1e150])
-    polished_points, polished = twospeed.spectral._polish_best(
-        sig_min, points, np.array([sig_min(lam) for lam in points])
-    )
-    best = int(np.argmin(polished))
-    assert polished_points[best] == pytest.approx(5.0, abs=1e-6)
-    assert polished[best] == pytest.approx(1.0, rel=1e-6)
 
 
 # Admissible draws from the benchmark's field box, below the size at
@@ -309,39 +277,38 @@ def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
     dense = scipy.linalg.svdvals(q.T @ gen.matrix @ q)[-1]
     assert bordered_sigma_min(gen.operator, u)(0.0)[1] == pytest.approx(dense, rel=1e-8)
 
-    # The dense route's S_c = S + c z0 z0^T: the spectrum of S0 and c, the
-    # same sigma_min on a grid that reaches past 4 beta, where the block's
-    # singular value |c - i lambda| is dropped, and the same Hamiltonian
-    # crossings just above the gap.
-    lambda_max = transport_lambda_max(gen)
+    # The dense route's S_c = S + c z0 z0^T: the spectrum of S0 and c, and
+    # the same sigma_min at every sample up to L = beta + sigma_min(0)
+    # <= 2 beta, where the block's singular value |c - i lambda| >= 3 beta
+    # is never the smallest.
     s_c, shift = restricted_operator(gen)
     beta = default_lambda_max(gen)
     assert shift == -3.0 * beta
-    assert lambda_max > 4.0 * beta
     assert_same_points(scipy.linalg.eigvals(s_c), np.append(mu, shift), 1e-10 * gen.operator_scale())
-    est = ts.psi_sweep(gen, lambda_max=lambda_max, coarse_points=16)
+    est = ts.psi_sweep(gen, lambda_max=transport_lambda_max(gen), coarse_points=16)
+    assert beta < est.lambda_grid[-1] <= 2.0 * beta
     for lam, value in zip(est.lambda_grid, est.sigma_min_values):
         dense = scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1]
         assert value == pytest.approx(dense, rel=1e-12), f"lambda = {lam}"
-    level = 1.05 * est.psi_hat
-    expected = hamiltonian_crossings(s0, level, gen.operator_scale())
-    assert len(expected) > 0
-    np.testing.assert_allclose(
-        hamiltonian_crossings(s_c, level, gen.operator_scale()), expected, rtol=0.0, atol=1e-12 * beta
-    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@benchmark_box
+def test_chord_certificate_matches_the_hamiltonian_oracle(b1, a, b, c, sigma, n):
+    # H(psi_hat) has no imaginary-axis eigenvalue, so psi_hat lies below
+    # sigma_min on all of R; H(psi_hat (1 + 2 RANK_TOL)) has one, so
+    # psi_hat lies within 2 RANK_TOL of the infimum.
+    gen = box_generator(b1, a, b, c, sigma, n)
+    s0 = mean_zero_operator(gen)
+    est = ts.psi_sweep(gen, coarse_points=16)
+    assert len(hamiltonian_crossings(s0, est.psi_hat, gen.operator_scale())) == 0
+    assert len(hamiltonian_crossings(s0, est.psi_hat * (1.0 + 2.0 * RANK_TOL), gen.operator_scale())) > 0
 
 
 def assert_same_points(x, y, tol):
     distance = np.abs(x[:, None] - y[None, :])
     assert len(x) == len(y)
     assert distance.min(axis=0).max() <= tol and distance.min(axis=1).max() <= tol
-
-
-def hamiltonian_crossings(op, level, scale):
-    """Sorted ``|w|`` of the imaginary-axis eigenvalues ``i w`` of ``H(level)``."""
-    eye = np.eye(len(op))
-    vals = scipy.linalg.eigvals(np.block([[op, -level * eye], [level * eye, -op.T]]))
-    return np.sort(np.abs(vals[np.abs(vals.real) <= RANK_TOL * max(scale, 1.0)].imag))
 
 
 @pytest.mark.parametrize(
@@ -411,9 +378,10 @@ def test_default_lambda_max_bounds_the_operator_norm(b1, a, b, c, sigma, n):
 
 @pytest.mark.parametrize("n", [16, 96], ids=["dense", "sparse"])
 def test_far_sweep_range_keeps_the_certificate(variant_fields, n):
-    # The deflation shift does not grow with an explicit range, so the
-    # dense solves err by about eps ||S0||, not eps lambda_max: psi_hat
-    # stays where the default range puts it and below the oracle's
+    # Samples stop at L = beta + sigma_min(0) whatever the range, and the
+    # deflation shift does not grow with it, so the dense solves err by
+    # about eps ||S0||, not eps lambda_max: psi_hat stays within RANK_TOL
+    # of where the default range puts it and below the oracle's
     # sigma_min at argmin_lambda, on either sigma_min route.
     gen = ts.assemble(*variant_fields, ts.Grid(n))
     auto = ts.psi_sweep(gen, coarse_points=16)
@@ -423,7 +391,7 @@ def test_far_sweep_range_keeps_the_certificate(variant_fields, n):
     # 1 / lambda^2, underflows unless the Lanczos run scales its vectors.
     for lambda_max in (1e10, 1e16, 1e200, 1e300):
         est = ts.psi_sweep(gen, lambda_max=lambda_max, coarse_points=16)
-        assert est.psi_hat == pytest.approx(auto.psi_hat, rel=1e-12, abs=0.0), lambda_max
+        assert est.psi_hat == pytest.approx(auto.psi_hat, rel=RANK_TOL, abs=0.0), lambda_max
         assert est.psi_hat <= scipy.linalg.svdvals(s0 - 1j * est.argmin_lambda * eye)[-1], lambda_max
 
 
@@ -593,7 +561,7 @@ def test_semigroup_norms_match_direct_exponentials(gen_variant_64, monkeypatch, 
         return expm(*args, **kwargs)
 
     monkeypatch.setattr(twospeed.spectral.scipy.linalg, "expm", counted)
-    est = ts.PsiEstimate(np.zeros(16), np.ones(16), 1.0, 0.0, 20.0, 1)
+    est = ts.PsiEstimate(np.zeros(16), np.ones(16), np.ones(16), 1.0, 0.0, 20.0, 20.0, 1)
     report = ts.semigroup_bound_check(gen_variant_64, est, t_grid)
     assert len(calls) == expm_calls
     np.testing.assert_allclose(report.norms, direct, rtol=1e-12, atol=0.0)
@@ -607,7 +575,7 @@ def test_semigroup_t_grid_validation(gen_gt_64):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_semigroup_rejects_non_finite_times(gen_gt_64, bad):
-    est = ts.PsiEstimate(np.zeros(16), np.ones(16), 1.0, 0.0, 20.0, 1)
+    est = ts.PsiEstimate(np.zeros(16), np.ones(16), np.ones(16), 1.0, 0.0, 20.0, 20.0, 1)
     with pytest.raises(ConfigurationError):
         ts.semigroup_bound_check(gen_gt_64, est, [0.0, 1.0, bad])
 
