@@ -65,7 +65,6 @@ from .space import StateVector, WeightedSpace
 
 #: Relative tolerance of the null space: the kernel is simple when the
 #: bordered ``sigma_min`` is at least ``RANK_TOL * (max |b| + max sigma)``.
-#: The steady-state oracle judges the kernel of ``Phi(1) - I`` by it too.
 RANK_TOL = 1e-8
 
 #: Relative Lanczos tolerance of :func:`bordered_sigma_min`, far below

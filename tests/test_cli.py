@@ -473,16 +473,29 @@ def test_report_split_is_byte_identical(split_config, tmp_path, monkeypatch, cap
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
+def _with_sigma(n, sigma):
+    return SPLIT_CONFIG.format(n=n).replace("\ngrid:", f"\n  sigma: {{kind: constant, value: {sigma}}}\ngrid:")
+
+
 @pytest.mark.parametrize("command", ["steady", "report"])
 def test_stiff_flux_ode_is_a_numerical_error(tmp_path, capsys, caller_state, command):
-    # At sigma = 1e5 RK4's flux propagator overflows. The error is a typed
-    # numerical one (exit 3), not a LinAlgError traceback from the SVD of
-    # a non-finite Phi(1).
+    # At sigma = 1e5 the steady flux spans more than the double range. The
+    # error is a typed numerical one (exit 3), not a traceback or a
+    # RuntimeWarning from an overflow.
     path = tmp_path / "stiff.yaml"
-    path.write_text(SPLIT_CONFIG.format(n=16).replace("\ngrid:", "\n  sigma: {kind: constant, value: 1.0e+5}\ngrid:"))
+    path.write_text(_with_sigma(16, "1.0e+5"))
     assert main(_args(path, command, "--out", str(tmp_path / "out"))) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical error: flux ODE too stiff") and err.count("\n") == 1
+    assert err.startswith("numerical error: steady flux spans more than the double range") and err.count("\n") == 1
+
+
+def test_report_runs_past_a_steep_steady_state(tmp_path, capsys, caller_state):
+    # At sigma = 3e2 the steady profile falls to 1e-13 of its peak; every
+    # stage must still run on it.
+    path = tmp_path / "steep.yaml"
+    path.write_text(_with_sigma(64, "3.0e+2"))
+    assert main(_args(path, "report", "--out", str(tmp_path / "out"))) == 0
+    assert capsys.readouterr().out.startswith("report: psi_hat=")
 
 
 def _failing(message):

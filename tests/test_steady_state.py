@@ -4,7 +4,9 @@ import pytest
 import twospeed as ts
 from twospeed.errors import DegenerateFieldError, NonUniqueSteadyStateError, NumericalError
 from twospeed.quadrature import trapezoid_weights
-from twospeed.steady_state import DEFAULT_STEPS, _coupling_matrices, _rk4_sweep
+from twospeed.steady_state import DEFAULT_STEPS
+
+from rk4_oracle import rk4_fundamental_matrix, rk4_steady_densities
 
 
 def test_fundamental_matrix_at_zero_is_identity(variant_fields):
@@ -30,34 +32,18 @@ def test_column_sums_are_conserved(variant_fields, monkeypatch):
         assert np.abs(phi.sum(axis=0) - 1.0).max() < 1e-12
 
 
-def _stepwise_rk4_sweep(mats, y, h, record_every=0):
-    """Reference: classical RK4 stage by stage, one step at a time."""
-    steps = (len(mats) - 1) // 2
-    out = [y]
-    for k in range(steps):
-        i = 2 * k
-        k1 = mats[i] @ y
-        k2 = mats[i + 1] @ (y + (0.5 * h) * k1)
-        k3 = mats[i + 1] @ (y + (0.5 * h) * k2)
-        k4 = mats[i + 2] @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if record_every and (k + 1) % record_every == 0:
-            out.append(y)
-    return np.array(out) if record_every else y
-
-
 @pytest.mark.parametrize("fields", ["gt_fields", "variant_fields"])
-@pytest.mark.parametrize("record_every", [0, 1, 7])
-def test_rk4_propagators_match_stepwise_sweep(fields, record_every, request):
-    b1, b2, sigma = request.getfixturevalue(fields)
-    steps = DEFAULT_STEPS
-    lattice = np.linspace(0.0, 1.0, 2 * steps + 1)
-    mats = _coupling_matrices(b1, b2, sigma, lattice)
-    for y0 in (np.eye(2), np.array([0.3, 0.7])):
-        got = _rk4_sweep(mats, y0, 1.0 / steps, record_every)
-        want = _stepwise_rk4_sweep(mats, y0, 1.0 / steps, record_every)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+@pytest.mark.parametrize("sigma", [1.0, 10.0])
+def test_closed_form_matches_rk4_oracle(fields, sigma, request):
+    b1, b2, _ = request.getfixturevalue(fields)
+    sg = ts.FieldSpec.constant(sigma)
+    for x in (0.37, 1.0):
+        want = rk4_fundamental_matrix(b1, b2, sg, x, DEFAULT_STEPS)
+        assert np.abs(ts.fundamental_matrix(b1, b2, sg, x) - want).max() <= 1e-12 * np.abs(want).max()
+    ss = ts.solve_steady(b1, b2, sg, 64)
+    p1, p2 = rk4_steady_densities(b1, b2, sg, 64, DEFAULT_STEPS // 64)
+    scale = max(p1.max(), p2.max())
+    assert max(np.abs(ss.p1 - p1).max(), np.abs(ss.p2 - p2).max()) <= 1e-12 * scale
 
 
 def test_degenerate_field_raises():
@@ -68,15 +54,28 @@ def test_degenerate_field_raises():
 
 
 def test_stiff_coupling_raises_numerical_error(variant_fields):
-    # h * sigma / |b| reaches 41 at sigma = 1e5, past RK4's stability
-    # interval, so Phi overflows. The GT flux matrix is nilpotent, so GT
-    # fields stay finite at any sigma.
+    # At sigma = 1e5, A = int sigma (1/b1 + 1/b2) varies by about 1.9e4,
+    # so both Phi(1) and the steady profile span more than the double
+    # range. The GT fields have a = 0 and stay finite at any sigma.
     b1, b2, _ = variant_fields
     sigma = ts.FieldSpec.constant(1.0e5)
-    with pytest.raises(NumericalError, match="too stiff"):
+    with pytest.raises(NumericalError, match="more than the double range"):
         ts.fundamental_matrix(b1, b2, sigma, 1.0)
-    with pytest.raises(NumericalError, match="too stiff"):
+    with pytest.raises(NumericalError, match="more than the double range"):
         ts.solve_steady(b1, b2, sigma, 16)
+
+
+@pytest.mark.parametrize("sigma", [3.0e2, 1.0e3])
+def test_steep_variant_profile_is_positive(variant_fields, sigma):
+    # The profile falls to 1e-13 (3e2) and 3e-43 (1e3) of its peak, far
+    # below the rounding of Phi(1)'s growing mode; only a sum of terms of
+    # one sign keeps it positive.
+    b1, b2, _ = variant_fields
+    ss = ts.solve_steady(b1, b2, ts.FieldSpec.constant(sigma), 64)
+    assert ss.lower_bound > 0.0
+    assert ss.p1.min() > 0.0 and ss.p2.min() > 0.0
+    w = trapezoid_weights(65, 1.0 / 64)
+    assert abs(w @ (ss.p1 + ss.p2) - 1.0) < 1e-12
 
 
 def test_goldstein_taylor_steady_state(gt_fields):
@@ -120,11 +119,16 @@ def test_steady_invariants(variant_fields):
 
 
 def test_step_doubling_invariance(variant_fields, monkeypatch):
-    a = ts.solve_steady(*variant_fields, 64)
-    monkeypatch.setattr("twospeed.steady_state.DEFAULT_STEPS", 2 * DEFAULT_STEPS)
-    b = ts.solve_steady(*variant_fields, 64)
-    assert np.abs(a.p1 - b.p1).max() < 1e-12
-    assert np.abs(a.p2 - b.p2).max() < 1e-12
+    # Doubling the Simpson lattice moves the profile by rounding only,
+    # also where it is steep (min p = 3e-5 at sigma = 1e2, 3e-43 at 1e3).
+    b1, b2, _ = variant_fields
+    for sigma in (ts.FieldSpec.constant(s) for s in (1.0, 1.0e2, 1.0e3)):
+        monkeypatch.setattr("twospeed.steady_state.DEFAULT_STEPS", DEFAULT_STEPS)
+        a = ts.solve_steady(b1, b2, sigma, 64)
+        monkeypatch.setattr("twospeed.steady_state.DEFAULT_STEPS", 2 * DEFAULT_STEPS)
+        b = ts.solve_steady(b1, b2, sigma, 64)
+        assert np.abs(a.p1 - b.p1).max() < 1e-12 * a.upper_bound, sigma
+        assert np.abs(a.p2 - b.p2).max() < 1e-12 * a.upper_bound, sigma
 
 
 def test_common_speed_rescaling_leaves_densities_unchanged():
