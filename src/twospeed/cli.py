@@ -15,23 +15,26 @@ Subcommands
     consistency checks (fitted decay rate vs. resolvent gap vs. spectral
     abscissa, and the semigroup envelope along the recorded trajectory).
 
-    ``report`` runs the evolve and lemma stages, which read no other
-    stage's result, in a ``fork``ed child beside steady, spectrum and
-    psi (:func:`twospeed.forking._fork_map`).  The child calls
-    ``os.nice(19)``, so it takes the CPU that the rest of the report
-    leaves idle (the spectrum, and the psi sweep's dense SVDs below
-    ``n = 96``) rather than slow the psi sweep's ``sigma_min`` batches,
-    which are on the critical path.  It writes its CSVs itself and pipes
-    back its stage results.  Errors keep the order of a serial run: a failed
-    steady, spectrum or psi stage kills the child and raises; a failure
-    in the child raises once those stages have succeeded, evolve's
-    before lemma's.  A report that fails in steady, spectrum or psi may
-    therefore leave a partial ``timeseries.csv`` or ``lemma.csv``.  With
-    one CPU in the affinity mask every stage runs in-process in table
-    order.  With one BLAS thread (``OMP_NUM_THREADS=1
-    OPENBLAS_NUM_THREADS=1``) the files are the same byte for byte
-    either way; a threaded BLAS may change the last digits of the
-    spectrum's dense eigensolve with the number of CPUs it runs on.
+    ``report`` runs the lemma and evolve stages, which read no other
+    stage's result, each in its own ``fork``ed child beside steady,
+    spectrum and psi (:func:`twospeed.forking._fork_map`).  The children
+    call ``os.nice(19)``, so they take the CPU that the rest of the
+    report leaves idle (the spectrum, and the psi sweep's dense SVDs
+    below ``n = 32``) rather than slow the psi sweep's ``sigma_min``
+    batches, which are on the critical path.  Once psi is done the
+    caller runs the semigroup check while the children finish.  Each
+    child writes its CSVs itself and pipes back its stage result.
+    Errors keep the order of a serial run (steady, spectrum, psi,
+    semigroup check, lemma, evolve): a failure in the caller kills the
+    children and raises; a failure in a child raises once the caller's
+    work has succeeded, lemma's before evolve's.  A report that fails in
+    the caller may therefore leave a partial ``timeseries.csv`` or
+    ``lemma.csv``.  With one CPU in the affinity mask everything runs
+    in-process in that order.  With one BLAS thread
+    (``OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1``) the files are the
+    same byte for byte either way; a threaded BLAS may change the last
+    digits of the spectrum's dense eigensolve with the number of CPUs it
+    runs on.
 
 Every command but ``validate`` passes the same admissibility gate first.
 
@@ -619,13 +622,14 @@ _STAGES = {
     "steady": (_steady, False),
     "spectrum": (_spectrum, True),
     "psi": (_psi, True),
-    "evolve": (_evolve, True),
     "lemma": (_lemma, False),
+    "evolve": (_evolve, True),
 }
 
-#: The last stages of the table, which ``report`` runs in a forked child
-#: beside the others: no other stage reads their results, nor they another's.
-_SIDE_STAGES = ("evolve", "lemma")
+#: The last stages of the table, which ``report`` runs each in its own
+#: forked child beside the others: no other stage reads their results,
+#: nor they another's.
+_SIDE_STAGES = ("lemma", "evolve")
 
 
 def _run_stage(name: str, cfg: RunConfig, args) -> int:
@@ -652,18 +656,23 @@ def cmd_report(cfg: RunConfig, args) -> int:
     def run(names) -> dict:
         return {name: _STAGES[name][0](cfg, gen if _STAGES[name][1] else None) for name in names}
 
-    # At niceness 19 the side child takes the CPU that the stages on the
-    # critical path, psi's sigma_min batches above all, leave idle.
-    own = [name for name in _STAGES if name not in _SIDE_STAGES]
-    first, rest = _fork_map([functools.partial(run, own), functools.partial(run, _SIDE_STAGES)], nice=19)
-    stages = {**first, **rest}
+    def own() -> tuple:
+        stages = run([name for name in _STAGES if name not in _SIDE_STAGES])
+        return stages, semigroup_bound_check(gen, stages["psi"][0], np.asarray(cfg.t_grid))
+
+    # At niceness 19 the side children take the CPU that the stages on the
+    # critical path, psi's sigma_min batches above all, leave idle; the
+    # caller runs the semigroup check while they finish.
+    (first, semigroup), *rest = _fork_map(
+        [own, *(functools.partial(run, [name]) for name in _SIDE_STAGES)], nice=19
+    )
+    stages = {**first, **{name: stage for side in rest for name, stage in side.items()}}
     sections = {name: section for name, (_, section, _) in stages.items()}
     est = stages["psi"][0]
     series, fit_error = stages["evolve"][0]
     if fit_error is not None:
         raise fit_error
     evolved = sections.pop("evolve")
-    semigroup = semigroup_bound_check(gen, est, np.asarray(cfg.t_grid))
 
     envelope_bounds = np.exp(0.5 * math.pi - est.psi_hat * series.times) * series.deviation[0]
     envelope_margin = float((envelope_bounds - series.deviation).min())

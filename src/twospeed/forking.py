@@ -1,8 +1,9 @@
 """Independent tasks run side by side in ``fork``ed child processes.
 
-The psi sweep splits its ``sigma_min`` points over the CPUs this way
+The psi sweep splits its ``sigma_min`` batches over the CPUs this way
 (:func:`twospeed.spectral.psi_sweep`), and ``twospeed report`` runs its
-evolve and lemma stages beside the others (:func:`twospeed.cli.cmd_report`).
+lemma and evolve stages beside the others, each in its own child
+(:func:`twospeed.cli.cmd_report`).
 SuperLU, the Lanczos recurrence and the stage code hold the GIL, so
 threads would not run them side by side.  The helpers are
 package-private: the perfbench tracer wraps every public function, and a

@@ -66,19 +66,27 @@ Trefethen, EigTool, 2002), in :func:`twospeed.generator.bordered_sigma_min`,
 which ``assemble`` also runs on ``A`` for its kernel verdict.  The
 Lanczos run is a three-term recurrence on ``B^{-H} B^{-1}`` without
 reorthogonalisation, stopped by ARPACK's residual rule; only the top
-Ritz value is wanted.
+Ritz value is wanted.  The points go in batches of
+:data:`SIGMA_MIN_BATCH_UNKNOWNS` unknowns: the ``B(lambda)`` of a batch,
+each in :func:`twospeed.generator.fold_order` with the border last, are
+the diagonal blocks of one sparse LU, and their recurrences run side by
+side on ``(K, 2n + 1)`` arrays, so one ``splu`` call and one pair of
+solves per step serve the whole batch.
 
 On the sparse route the ``sigma_min`` points that do not depend on each
 other are split over the CPUs of the affinity mask by ``fork``ed workers
 (:func:`_sigma_min_batch`, on :mod:`twospeed.forking`), as
 pseudospectra codes split their grids over processors (Trefethen 1999);
 SuperLU holds the GIL and the Lanczos recurrence between its solves is
-Python code, so threads would not run them side by side.  A point's
-value depends on its ``lambda`` alone (its own LU and a fixed Lanczos
-start), so it is the same bit for bit wherever it runs.  The dense route stays in one
-process: its SVDs run on the threaded BLAS, and forked copies would
-compete for the same cores (with two OpenBLAS threads on two CPUs a
-split sweep took twice as long at ``n = 64``).
+Python code, so threads would not run them side by side.  A worker is
+forked only when each gets at least one full batch; a smaller set of
+points runs in the calling process, where a fork would cost more than
+the points.  A point's value depends on its ``lambda`` alone (its own
+block of the LU, kept in a fixed order, and a fixed Lanczos start), so
+it is the same bit for bit in any batch and wherever it runs.  The dense
+route stays in one process: its SVDs run on the threaded BLAS, and
+forked copies would compete for the same cores (with two OpenBLAS
+threads on two CPUs a split sweep took twice as long at ``n = 64``).
 
 A positive gap ``psi`` feeds the semigroup bound
 
@@ -104,7 +112,16 @@ import scipy.sparse.linalg
 
 from .errors import ConfigurationError, NumericalError
 from .forking import _fork_map, _worker_count
-from .generator import LANCZOS_TOL, RANK_TOL, GeneratorMatrix, bordered_sigma_min, sparse_symmetrized, symmetrized
+from .generator import (
+    LANCZOS_TOL,
+    RANK_TOL,
+    GeneratorMatrix,
+    bordered_sigma_min,
+    fold_order,
+    folded,
+    sparse_symmetrized,
+    symmetrized,
+)
 
 #: Hard cap on the dense eigen/SVD problem size (matrix side 2n).
 DENSE_CAP = 4096
@@ -118,20 +135,32 @@ MIN_COARSE_POINTS = 16
 
 #: Matrix side ``2n`` from which ``psi_sweep`` takes ``sigma_min`` from a
 #: sparse LU and inverse Lanczos instead of a dense SVD.  Mean CPU time
-#: per point over 32 points of the default coarse grid (which ends at
+#: per point over 511 points of the default coarse grid (which ends at
 #: :func:`default_lambda_max`), variant fields, one BLAS thread on a
-#: 2-core x86-64 host, with the three-term Lanczos recurrence; fastest
-#: of three (dense) or seven (sparse) runs:
+#: 2-core x86-64 host; fastest of two runs of three, in one process.
+#: The sparse route feeds the points in batches of
+#: :data:`SIGMA_MIN_BATCH_UNKNOWNS` unknowns; "one at a time" is the
+#: earlier route, one LU per point:
 #:
-#:     n       16    32    64    80    96    128   256
-#:     dense   0.10  0.39  1.8   3.0   5.2   10.5  92    ms
-#:     sparse  0.49  0.80  0.92  1.0   1.09  1.19  2.02  ms
+#:     n                16    32    64    96    128   256
+#:     dense            0.16  0.61  2.3   7.4   15.5        ms
+#:     sparse, batched  0.19  0.35  0.75  0.83  1.14  2.65  ms
+#:     one at a time    0.82  1.22  1.55  1.34  1.79  3.83  ms
 #:
-#: The routes now cross between n = 32 and 64 (between 64 and 80 with
-#: ARPACK); the sparse route still starts at n = 96, so small grids, the
-#: n = 16 warm-up of a benchmark op among them, keep the dense SVD and
-#: their ``psi_sweep.csv`` bytes.
-SPARSE_SIGMA_MIN_SIDE = 192
+#: The routes cross between n = 16 and 32, so the sparse route starts at
+#: n = 32, and n = 16, the warm-up of a benchmark op, keeps the dense
+#: SVD.
+SPARSE_SIGMA_MIN_SIDE = 64
+
+#: Unknowns per block-diagonal LU of the sparse route: ``psi_sweep``
+#: passes ``max(1, SIGMA_MIN_BATCH_UNKNOWNS // (2n + 1))`` points at a
+#: time to :func:`twospeed.generator.bordered_sigma_min`, 11 at n = 128.
+#: There, batches of 7, 11, 15 and 20 points took 1.0-1.3, 1.0-1.1,
+#: 1.0-1.2 and 0.9-1.0 ms per point (two runs each), and each point of a
+#: batch adds about 0.2 MB to the peak memory of the process that runs
+#: it; the size is set by unknowns so that this peak does not grow with
+#: ``n``.
+SIGMA_MIN_BATCH_UNKNOWNS = 3072
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -222,14 +251,19 @@ def restricted_operator(gen: GeneratorMatrix):
 
 
 def sparse_sigma_min(gen: GeneratorMatrix):
-    """``lambda -> sigma_min(S0 - i lambda)`` from ``bordered_sigma_min`` of ``B(lambda)``."""
-    at = bordered_sigma_min(sparse_symmetrized(gen), mean_zero_direction(gen))
+    """``lams -> sigma_min(S0 - i lams)``, a batch at a time, from ``bordered_sigma_min`` of the ``B(lambda)``.
 
-    def sig_min(lam: float) -> float:
-        lu, value = at(lam)
+    ``S`` and ``z0`` go in :func:`twospeed.generator.fold_order`, where
+    ``S`` is banded and each block's LU fills O(n).
+    """
+    n = gen.grid.n
+    at = bordered_sigma_min(folded(sparse_symmetrized(gen), n), mean_zero_direction(gen)[fold_order(n)])
+
+    def sig_min(lams) -> np.ndarray:
+        lu, values = at(lams)
         if lu is None:
-            raise NumericalError(f"sparse LU is exactly singular at lambda = {lam}")
-        return value
+            raise NumericalError(f"sparse LU of the batch lambda = {', '.join(map(str, lams))} is exactly singular")
+        return values
 
     return sig_min
 
@@ -301,21 +335,24 @@ def default_lambda_max(gen: GeneratorMatrix) -> float:
     return bound
 
 
-def _sigma_min_batch(sig_min, lams: np.ndarray, workers: int) -> np.ndarray:
-    """``[sig_min(lam) for lam in lams]``, split over forked worker processes.
+def _sigma_min_batch(sig_min, lams: np.ndarray, workers: int, batch: int) -> np.ndarray:
+    """``sig_min(lams)``, fed ``batch`` points at a time, split over forked worker processes.
 
-    ``workers`` is cut to one per point; with ``k`` of them share ``j``
-    is ``lams[j::k]``, interleaved because the points above ``||S0||``
-    converge slowest and a contiguous block would hold most of them.
+    ``workers`` is cut to ``len(lams) // batch``, at least one, so that
+    each gets a full batch or more.  With ``k`` of them share
+    ``j`` is ``lams[j::k]``, interleaved because the points above
+    ``||S0||`` converge slowest and a contiguous block would hold most of
+    them; each share goes to ``sig_min`` in contiguous runs of ``batch``.
     :func:`twospeed.forking._fork_map` runs share 0 in the calling
     process and each other share in a ``fork``ed child, so every point
     runs the same code on the same inputs; with one worker that is the
-    whole batch, in-process.
+    whole of ``lams``, in-process.
     """
-    workers = max(1, min(workers, len(lams)))
+    workers = max(1, min(workers, len(lams) // batch))
 
     def share(j: int) -> np.ndarray:
-        return np.array([sig_min(lam) for lam in lams[j::workers]], dtype=float)
+        mine = lams[j::workers]
+        return np.concatenate([sig_min(mine[i : i + batch]) for i in range(0, len(mine), batch)])
 
     values = np.empty(len(lams))
     for j, result in enumerate(_fork_map([functools.partial(share, j) for j in range(workers)])):
@@ -412,16 +449,19 @@ def psi_sweep(
         s_c, _ = restricted_operator(gen)
         eye = np.eye(s_c.shape[0])
 
-        def sig_min(lam: float) -> float:
-            return float(_lapack(f"SVD at lambda = {lam}", scipy.linalg.svdvals, s_c - 1j * lam * eye)[-1])
+        def sig_min(lams) -> np.ndarray:
+            return np.array(
+                [_lapack(f"SVD at lambda = {lam}", scipy.linalg.svdvals, s_c - 1j * lam * eye)[-1] for lam in lams]
+            )
 
         workers = 1
+    batch = max(1, SIGMA_MIN_BATCH_UNKNOWNS // (gen.size + 1))
 
-    f0 = sig_min(0.0)
+    f0 = float(sig_min([0.0])[0])
     top = beta + f0
     grid = np.linspace(0.0, lambda_max, coarse_points)
     lams = np.append(grid[grid < top], top)
-    sigmas = np.concatenate([[f0], _sigma_min_batch(sig_min, lams[1:], workers)])
+    sigmas = np.concatenate([[f0], _sigma_min_batch(sig_min, lams[1:], workers, batch)])
     for depth in range(1, refine_depth + 1):
         best = int(np.argmin(sigmas))
         level = float(sigmas[best]) * (1.0 - RANK_TOL)
@@ -440,7 +480,7 @@ def psi_sweep(
                 f"chord bound on [{lams[k]:.17g}, {lams[k + 1]:.17g}] lies below the level {level:.17g} "
                 "at its end: the rounding allowance exceeds the RANK_TOL margin"
             )
-        values = _sigma_min_batch(sig_min, new, workers)
+        values = _sigma_min_batch(sig_min, new, workers, batch)
         low = values**2 + _allowance(new, values, beta) < squares[below]
         if low.any():
             k = int(np.argmax(low))

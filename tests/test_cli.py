@@ -214,7 +214,7 @@ def test_psi_artifacts(gt_config, tmp_path):
     assert (cols["sigma_min"] > 0.0).all()
 
 
-@pytest.mark.parametrize("n", [64, 96], ids=["dense", "sparse"])
+@pytest.mark.parametrize("n", [16, 96], ids=["dense", "sparse"])
 def test_psi_artifacts_recheck_the_certificate(gt_config, tmp_path, n):
     # psi_sweep.csv and psi.report.json alone re-check psi_hat for all real
     # lambda. Between neighbouring rows sigma_min^2 is at least lambda^2
@@ -456,10 +456,12 @@ def _on_cpus(monkeypatch, cpus):
 
 @pytest.mark.parametrize("n", [96, 128])
 def test_report_split_is_byte_identical(split_config, tmp_path, monkeypatch, capsys, caller_state, n):
-    # One CPU runs every stage in-process in table order; two run evolve
-    # and lemma in a forked child beside the others (and split psi's
-    # sigma_min points from n = 96 on). Every file comes out the same.
+    # One CPU runs every stage in-process in order; two run lemma and
+    # evolve each in a forked child beside the others, and split psi's
+    # sigma_min batches, which 64 coarse points make big enough to fork.
+    # Every file comes out the same.
     path = split_config(n)
+    path.write_text(path.read_text().replace("coarse_points: 16", "coarse_points: 64"))
     for name, cpus in (("one", {0}), ("two", {0, 1})):
         _on_cpus(monkeypatch, cpus)
         assert main(_args(path, "report", "--out", str(tmp_path / name))) == 0
@@ -505,10 +507,17 @@ def _failing(message):
     return fail
 
 
-@pytest.mark.parametrize("failing", [("evolve",), ("lemma_sweep",), ("evolve", "lemma_sweep")], ids="+".join)
+@pytest.mark.parametrize(
+    "failing",
+    [("evolve",), ("lemma_sweep",), ("evolve", "lemma_sweep"), ("semigroup_bound_check", "evolve")],
+    ids="+".join,
+)
 def test_report_child_error_matches_the_serial_run(split_config, tmp_path, monkeypatch, capsys, caller_state, failing):
-    # The first failing side stage in table order names the error, as in
-    # a serial run; lemma never runs after a failed evolve.
+    # The caller runs the semigroup check, and lemma and evolve run in
+    # that order after it. The first failure in that serial order names
+    # the error, on one CPU (in-process, in order) and on two (lemma and
+    # evolve forked), and no stage runs after a failed one on one CPU.
+    first = min(failing, key=["semigroup_bound_check", "lemma_sweep", "evolve"].index)
     for name in failing:
         monkeypatch.setattr(twospeed.cli, name, _failing(f"injected in {name}"))
     path = split_config(32)
@@ -519,7 +528,7 @@ def test_report_child_error_matches_the_serial_run(split_config, tmp_path, monke
         captured = capsys.readouterr()
         assert captured.out == ""
         messages.append(captured.err)
-    assert messages[0] == messages[1] == f"numerical error: injected in {failing[0]}\n"
+    assert messages[0] == messages[1] == f"numerical error: injected in {first}\n"
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from twospeed.errors import (
     PositivityError,
     ShapeError,
 )
-from twospeed.generator import bordered_sigma_min, fold_order, rayleigh_real_part, symmetrized
+from twospeed.generator import bordered_sigma_min, fold_order, folded, rayleigh_real_part, symmetrized
 
 
 def test_goldstein_taylor_column_sums_vanish_exactly(gen_gt_64):
@@ -178,8 +178,9 @@ def test_banded_hermitian_abscissa_matches_dense(b1, b2, sigma, n):
         assume(False)
     order = fold_order(n)
     assert np.array_equal(np.sort(order), np.arange(gen.size))
-    folded = gen.operator[order][:, order].tocoo()
-    assert np.abs(folded.row - folded.col).max() <= 4
+    banded = folded(gen.operator, n)
+    assert np.array_equal(banded.toarray(), gen.operator[order][:, order].toarray())
+    assert np.abs(banded.tocoo().row - banded.tocoo().col).max() <= 4
     s = symmetrized(gen)
     dense = scipy.linalg.eigvalsh(0.5 * (s + s.T))[-1]
     assert abs(ts.hermitian_abscissa(gen) - dense) <= 1e-13 * gen.operator_scale()
@@ -278,14 +279,15 @@ def test_kernel_sigma_min_is_twice_the_cross_section(gt_fields, sigma, n):
     # the kernel, on every grid.
     b1, b2, _ = gt_fields
     gen = ts.assemble(b1, b2, ts.FieldSpec.constant(sigma), ts.Grid(n))
-    lu, s = bordered_sigma_min(gen.operator, np.full(gen.size, 1.0 / np.sqrt(gen.size)))(0.0)
+    lu, (s,) = bordered_sigma_min(folded(gen.operator, n), np.full(gen.size, 1.0 / np.sqrt(gen.size)))([0.0])
     assert lu is not None
     assert s == pytest.approx(2.0 * sigma, rel=1e-6)
 
 
 def test_bordered_sigma_min_shifts_an_unstored_diagonal():
-    # The centred cyclic difference stores no diagonal entry; every lambda
-    # must still shift all of it. Odd m keeps the kernel simple.
+    # The centred cyclic difference stores no diagonal entry; every lambda,
+    # alone or in a batch, must still shift all of it. Odd m keeps the
+    # kernel simple.
     m = 7
     shift = scipy.sparse.csc_array(np.roll(np.eye(m), 1, axis=0))
     operator = (shift - shift.T).tocsc()
@@ -293,9 +295,12 @@ def test_bordered_sigma_min_shifts_an_unstored_diagonal():
     u = np.full(m, 1.0 / np.sqrt(m))
     q = scipy.linalg.null_space(u[None, :])
     at = bordered_sigma_min(operator, u)
-    for lam in (0.0, 0.3, 2.0):
+    lams = (0.0, 0.3, 2.0)
+    batch = at(lams[1:])[1]
+    for lam, batched in zip(lams, (None, *batch)):
         dense = scipy.linalg.svdvals(q.T @ (operator.toarray() - 1j * lam * np.eye(m)) @ q)[-1]
-        assert at(lam)[1] == pytest.approx(dense, rel=1e-12), lam
+        assert at([lam])[1][0] == pytest.approx(dense, rel=1e-12), lam
+        assert batched is None or batched == at([lam])[1][0], lam
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e100, 1e300])
@@ -304,10 +309,11 @@ def test_kernel_sigma_min_scales_with_the_operator(gen_gt_64, scale):
     # tiny one overflows; with the run's vectors scaled to size about 1
     # by a power of two, s scales exactly.
     u = np.full(gen_gt_64.size, 1.0 / np.sqrt(gen_gt_64.size))
-    at = bordered_sigma_min(gen_gt_64.operator, u)
-    scaled = bordered_sigma_min(gen_gt_64.operator * scale, u)
+    operator = folded(gen_gt_64.operator, 64)
+    at = bordered_sigma_min(operator, u)
+    scaled = bordered_sigma_min(operator * scale, u)
     for lam in (0.0, 3.0):
-        assert scaled(lam * scale)[1] == pytest.approx(scale * at(lam)[1], rel=1e-12), lam
+        assert scaled([lam * scale])[1][0] == pytest.approx(scale * at([lam])[1][0], rel=1e-12), lam
 
 
 def test_assemble_allocates_no_dense_matrix(variant_fields):

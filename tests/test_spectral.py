@@ -17,7 +17,7 @@ import twospeed as ts
 import twospeed.generator
 import twospeed.spectral
 from twospeed.errors import ConfigurationError, NumericalError
-from twospeed.generator import RANK_TOL, bordered_sigma_min, sparse_symmetrized, symmetrized
+from twospeed.generator import RANK_TOL, bordered_sigma_min, folded, sparse_symmetrized, symmetrized
 from twospeed.spectral import (
     SPARSE_SIGMA_MIN_SIDE,
     default_lambda_max,
@@ -106,12 +106,15 @@ def test_variant_spectrum_in_left_half_plane(gen_variant_128):
     assert (np.abs(rep.eigenvalues) <= 1e-8 * scale).sum() == 1
 
 
-def test_dense_cap_enforced(gen_gt_64, monkeypatch):
+def test_dense_cap_enforced(gt_fields, gen_gt_64, monkeypatch):
     monkeypatch.setattr(twospeed.spectral, "DENSE_CAP", 16)
     with pytest.raises(NumericalError, match="dense solver cap 16"):
         ts.spectrum(gen_gt_64)
+    # n = 16 takes the dense sigma_min route, which forms S_c.
+    gen_16 = ts.assemble(*gt_fields, ts.Grid(16))
+    assert gen_16.size < SPARSE_SIGMA_MIN_SIDE
     with pytest.raises(NumericalError, match="dense solver cap 16"):
-        ts.psi_sweep(gen_gt_64)
+        ts.psi_sweep(gen_16)
     est = ts.PsiEstimate(np.zeros(16), np.ones(16), np.ones(16), 1.0, 0.0, 20.0, 20.0, 1)
     with pytest.raises(NumericalError, match="dense solver cap 16"):
         ts.semigroup_bound_check(gen_gt_64, est, [0.0, 1.0])
@@ -145,14 +148,14 @@ def test_psi_sweep_mirror_symmetry(gen_gt_64):
         assert plus == pytest.approx(minus, abs=1e-11)
 
 
-@pytest.mark.parametrize("n", [64, 96])
+@pytest.mark.parametrize("n", [16, 64, 96])
 def test_psi_certificate_ignores_sweep_range(variant_fields, n):
     # The range only places the first samples, so a sweep that stops
     # short of the minimum, or reaches six times as far as ||S0||_2,
-    # certifies the same gap up to RANK_TOL, on the dense route (n = 64)
-    # and on the sparse one (n = 96).
+    # certifies the same gap up to RANK_TOL, on the dense route (n = 16)
+    # and on the sparse one (n = 64 and 96).
     gen = ts.assemble(*variant_fields, ts.Grid(n))
-    assert (gen.size >= SPARSE_SIGMA_MIN_SIDE) == (n == 96)
+    assert (gen.size >= SPARSE_SIGMA_MIN_SIDE) == (n != 16)
     full = ts.psi_sweep(gen)
     wide = ts.psi_sweep(gen, lambda_max=transport_lambda_max(gen))
     assert full.lambda_max == default_lambda_max(gen) < wide.lambda_max
@@ -174,8 +177,8 @@ def test_non_concave_sigma_min_raises_numerical_error(variant_fields, monkeypatc
     # |lambda - 2.3| + 0.5 makes phi = f^2 - lambda^2 convex at 2.3: the
     # chord over the samples 2.0 and 2.5 bounds f by 0.69 at 2.4, where f
     # is 0.6, so the sample splitting that interval lies below its bound.
-    def fake(lam):
-        return abs(lam - 2.3) + 0.5
+    def fake(lams):
+        return np.abs(np.asarray(lams) - 2.3) + 0.5
 
     monkeypatch.setattr(twospeed.spectral, "sparse_sigma_min", lambda gen: fake)
     gen = ts.assemble(*variant_fields, ts.Grid(96))
@@ -226,8 +229,8 @@ def test_psi_certificate_is_tight_lower_bound():
         assert polished <= est.psi_hat * (1.0 + 1e-6), f"draw {draw}"
 
 
-# Admissible draws from the benchmark's field box, below the size at
-# which psi_sweep switches sigma_min routes.
+# Admissible draws from the benchmark's field box, on the dense sigma_min
+# route (n = 16) and the first size of the sparse one (n = 32).
 benchmark_box = given(
     b1=st.floats(0.8, 1.2),
     a=st.floats(-1.2, -0.8),
@@ -250,8 +253,7 @@ def box_generator(b1, a, b, c, sigma, n):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @benchmark_box
 def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
-    # psi_sweep takes the dense route at these sizes, so the sparse
-    # helper is called directly.
+    # The sparse helper is called directly, on both sizes.
     gen = box_generator(b1, a, b, c, sigma, n)
     # One S for the dense and the sparse stages, entry for entry, and one
     # z0: a unit right and left null vector of it.
@@ -267,15 +269,15 @@ def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
     mu = scipy.linalg.eigvals(s0)
     # 1e-15: next to lambda = 0, where S - i lambda alone is nearly singular.
     lams = [0.0, 1e-15, *mu[np.argsort(mu.real)[-8:]].imag, transport_lambda_max(gen)]
-    sig_min = sparse_sigma_min(gen)
-    for lam in lams:
+    values = sparse_sigma_min(gen)(lams)
+    for lam, value in zip(lams, values):
         dense = scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1]
-        assert sig_min(lam) == pytest.approx(dense, rel=1e-12), f"lambda = {lam}"
+        assert value == pytest.approx(dense, rel=1e-12), f"lambda = {lam}"
     # The kernel verdict: A itself compressed to the complement of the constants.
     u = np.full(gen.size, 1.0 / np.sqrt(gen.size))
     q = scipy.linalg.null_space(u[None, :])
     dense = scipy.linalg.svdvals(q.T @ gen.matrix @ q)[-1]
-    assert bordered_sigma_min(gen.operator, u)(0.0)[1] == pytest.approx(dense, rel=1e-8)
+    assert bordered_sigma_min(folded(gen.operator, n), u)([0.0])[1][0] == pytest.approx(dense, rel=1e-8)
 
     # The dense route's S_c = S + c z0 z0^T: the spectrum of S0 and c, and
     # the same sigma_min at every sample up to L = beta + sigma_min(0)
@@ -331,20 +333,48 @@ def test_sparse_sigma_min_is_independent_of_earlier_points(b1, trig, sigma):
     # A Lanczos run started from the previous point's vector can settle on
     # an eigenvalue other than the top one and overestimate sigma_min by
     # 1e-2 relative, which would let psi_hat exceed the true resolvent gap.
-    # n = 96 is the first size psi_sweep sends through the sparse route.
+    # Every run of a batch starts afresh; these draws at n = 96 once
+    # showed the fault.
     gen = ts.assemble(
         ts.FieldSpec.constant(b1),
         ts.FieldSpec.trigonometric(*trig),
         ts.FieldSpec.constant(sigma),
         ts.Grid(96),
     )
-    assert gen.size == SPARSE_SIGMA_MIN_SIDE
+    assert gen.size >= SPARSE_SIGMA_MIN_SIDE
     s0 = mean_zero_operator(gen)
     eye = np.eye(s0.shape[0])
+    lams = np.linspace(0.0, transport_lambda_max(gen), 128)[1:]
     sig_min = sparse_sigma_min(gen)
-    for lam in np.linspace(0.0, transport_lambda_max(gen), 128):
+    values = np.concatenate([sig_min(lams[i : i + 16]) for i in range(0, len(lams), 16)])
+    for lam, value in zip(lams, values):
         dense = scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1]
-        assert sig_min(lam) == pytest.approx(dense, rel=1e-12), f"lambda = {lam}"
+        assert value == pytest.approx(dense, rel=1e-12), f"lambda = {lam}"
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    b1=st.floats(0.8, 1.2),
+    a=st.floats(-1.2, -0.8),
+    b=st.floats(0.2, 0.5),
+    c=st.floats(-0.2, 0.2),
+    sigma=st.floats(0.5, 1.5),
+    n=st.sampled_from([96, 128]),
+    fractions=st.lists(st.floats(1e-3, 2.0), min_size=2, max_size=5, unique=True),
+)
+def test_sparse_sigma_min_is_bit_identical_in_any_batch(b1, a, b, c, sigma, n, fractions):
+    # Each lambda's block of the block-diagonal LU and its Lanczos run use
+    # no other block's data, so its value is the same bit for bit alone,
+    # inside a larger batch and with the batch reversed.
+    gen = box_generator(b1, a, b, c, sigma, n)
+    beta = default_lambda_max(gen)
+    lams = beta * np.array(fractions)
+    sig_min = sparse_sigma_min(gen)
+    alone = np.concatenate([sig_min([lam]) for lam in lams])
+    assert np.array_equal(sig_min(lams[::-1]), alone[::-1])
+    outer = beta * np.array([0.05, 0.7, 1.3, 1.95])
+    wider = sig_min(np.concatenate([outer[:2], lams, outer[2:]]))
+    assert np.array_equal(wider[2:-2], alone)
 
 
 def test_sparse_route_runs_without_arpack(variant_fields, monkeypatch):
@@ -364,7 +394,7 @@ def test_sparse_sigma_min_raises_at_the_step_cap(gen_variant_64, monkeypatch):
     # 10 m steps (m = 128 here) with a typed error.
     monkeypatch.setattr(twospeed.generator, "LANCZOS_TOL", 0.0)
     with pytest.raises(NumericalError, match="no convergence in 1280 steps"):
-        sparse_sigma_min(gen_variant_64)(1.0)
+        sparse_sigma_min(gen_variant_64)([1.0])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -418,14 +448,16 @@ def test_sparse_psi_sweep_matches_dense_svd(gen_variant_128):
 
 @pytest.mark.parametrize("n", [96, 128])
 def test_psi_sweep_split_is_bit_identical(variant_fields, monkeypatch, n):
-    # Every point is computed from the same inputs in a fresh LU, in a
-    # forked worker or not: the real CPU count, one CPU (in-process) and
-    # three workers give the serial values bit for bit.
+    # Every point is computed from the same inputs in its own block of a
+    # batch's LU, in a forked worker or not: the real CPU count, one CPU
+    # (in-process) and three workers give the values of an in-process
+    # run in batches of 5 bit for bit.
     gen = ts.assemble(*variant_fields, ts.Grid(n))
     assert gen.size >= SPARSE_SIGMA_MIN_SIDE
     real = ts.psi_sweep(gen, coarse_points=128)
     sig_min = sparse_sigma_min(gen)
-    serial = np.array([sig_min(lam) for lam in real.lambda_grid])
+    lams = real.lambda_grid
+    serial = np.concatenate([sig_min([0.0]), *(sig_min(lams[i : i + 5]) for i in range(1, len(lams), 5))])
     assert np.array_equal(real.sigma_min_values, serial)
     for cpus in ({0}, {0, 1, 2}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
@@ -449,25 +481,26 @@ def raise_numerical_error():
     ids=["numerical-error", "exit", "killed"],
 )
 def test_psi_sweep_worker_failure_raises_numerical_error(variant_fields, monkeypatch, fault, match):
-    # Every sigma_min of a forked worker calls fault(); the caller's own
-    # share runs as usual.
+    # Every batch of sigma_min points in a forked worker calls fault();
+    # the caller's own share runs as usual.
     gen = ts.assemble(*variant_fields, ts.Grid(96))
     parent = os.getpid()
 
     def patched(operator, u):
         at = bordered_sigma_min(operator, u)
 
-        def faulty(lam, floor=0.0):
+        def faulty(lams, floor=0.0):
             if os.getpid() != parent:
                 fault()
-            return at(lam, floor)
+            return at(lams, floor)
 
         return faulty
 
     monkeypatch.setattr(twospeed.spectral, "bordered_sigma_min", patched)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # 64 first samples give each of the two workers a full batch.
     with pytest.raises(NumericalError, match=match):
-        ts.psi_sweep(gen, coarse_points=16)
+        ts.psi_sweep(gen, coarse_points=64)
     assert_no_child_processes()
 
 
@@ -478,18 +511,36 @@ def test_psi_sweep_failure_in_the_caller_reaps_its_workers(variant_fields):
     parent = os.getpid()
     sig_min = sparse_sigma_min(gen)
 
-    def stall_or_fail(lam):
+    def stall_or_fail(lams):
         if os.getpid() != parent:
             time.sleep(60.0)
         raise NumericalError("injected in the caller")
 
     start = time.monotonic()
     with pytest.raises(NumericalError, match="injected in the caller"):
-        twospeed.spectral._sigma_min_batch(stall_or_fail, np.linspace(0.0, 1.0, 6), 3)
+        twospeed.spectral._sigma_min_batch(stall_or_fail, np.linspace(0.0, 1.0, 6), 3, 2)
     assert time.monotonic() - start < 30.0
     assert_no_child_processes()
     lams = np.array([0.5, 1.5])
-    assert np.array_equal(twospeed.spectral._sigma_min_batch(sig_min, lams, 3), [sig_min(0.5), sig_min(1.5)])
+    values = twospeed.spectral._sigma_min_batch(sig_min, lams, 3, 1)
+    assert np.array_equal(values, np.concatenate([sig_min([0.5]), sig_min([1.5])]))
+    assert_no_child_processes()
+
+
+def test_sigma_min_batch_forks_only_for_a_full_batch_per_worker():
+    # A worker is forked only when each gets at least one full batch; a
+    # smaller call runs in the caller, in batches of at most the size.
+    parent = os.getpid()
+    calls = []
+
+    def where(lams):
+        calls.append(len(lams))
+        return np.full(len(lams), float(os.getpid() == parent))
+
+    batch = twospeed.spectral._sigma_min_batch
+    assert np.array_equal(batch(where, np.arange(5.0), 2, 3), np.ones(5))
+    assert calls == [3, 2]
+    assert np.array_equal(batch(where, np.arange(6.0), 2, 3), [1.0, 0.0] * 3)
     assert_no_child_processes()
 
 
