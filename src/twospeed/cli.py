@@ -19,9 +19,9 @@ Subcommands
     stage's result, each in its own ``fork``ed child beside steady,
     spectrum and psi (:func:`twospeed.forking._fork_map`).  The children
     call ``os.nice(19)``, so they take the CPU that the rest of the
-    report leaves idle (the spectrum, and the psi sweep's dense SVDs
-    below ``n = 32``) rather than slow the psi sweep's ``sigma_min``
-    batches, which are on the critical path.  Once psi is done the
+    report leaves idle (the spectrum, and the serial parts of the psi
+    sweep) rather than slow the psi sweep's ``sigma_min`` batches, which
+    are on the critical path.  Once psi is done the
     caller runs the semigroup check while the children finish.  Each
     child writes its CSVs itself and pipes back its stage result.
     Errors keep the order of a serial run (steady, spectrum, psi,

@@ -19,16 +19,8 @@ eigenvector matrix is formed.
 The mean-zero subspace is the orthogonal complement of the unit vector
 ``z0 = sqrt(h * v)`` (:func:`mean_zero_direction`, the one ``z0`` of
 every stage), a right and left null vector of ``S`` as the columns of
-the generator sum to zero.  So Hotelling's rank-one deflation
-``S_c = S + c z0 z0^T`` (:func:`restricted_operator`) is block
-diagonal: ``S0``, ``S`` on the complement, and ``c`` on ``z0``.  The
-shift is ``c = -3 beta`` with ``beta >= ||S0||_2``
-(:func:`default_lambda_max`), so every dense solve on ``S_c`` errs by
-about ``eps beta``.  The singular values of ``S_c - i lambda`` are those
-of ``S0 - i lambda`` and the block's ``|c - i lambda| >= 3 beta``.  The
-psi sweep samples only ``0 <= lambda <= 2 beta``, where Weyl gives
-``sigma_min(S0 - i lambda) <= beta + lambda <= 3 beta``, so there the
-smallest singular value of ``S_c - i lambda`` is
+the generator sum to zero.  So ``S`` maps the complement to itself;
+``S0`` is its restriction there, and
 
     f(lambda) = sigma_min( S0 - i lambda ),
 
@@ -44,18 +36,16 @@ affine functions of ``lambda``, so ``phi`` is concave (Lewis & Overton,
 *Eigenvalue optimization*, Acta Numerica 1996).  On any ``[a, b]`` it
 lies on or above its chord, so ``f^2`` lies above ``lambda^2`` plus that
 chord, a convex quadratic whose minimum on ``[a, b]`` has a closed form.
-Past ``L = beta + f(0)`` Weyl gives ``f(lambda) >= lambda - beta >= f(0)``.
+Past ``L = beta + f(0)``, ``beta >= ||S0||_2`` the norm bound of
+:func:`default_lambda_max`, Weyl gives ``f(lambda) >= lambda - beta >= f(0)``.
 :func:`psi_sweep` is a branch and bound on these two bounds; it needs no
 curvature bound, no eigensolve and no local search.  The level-set test
 of Byers (SIAM J. Sci. Stat. Comput. 1988), a dense Hamiltonian of side
 ``4n``, stays in the tests as its oracle.
 
-``sigma_min`` itself comes from one of two routes, picked by the
-matrix side ``2n`` (:data:`SPARSE_SIGMA_MIN_SIDE`).  Small matrices take
-the smallest singular value of the dense ``S_c - i lambda``.  Large
-ones work on ``S`` itself, which keeps the generator's at most four
-non-zeros per column: since ``z0^T S = 0``, one sparse LU
-of the bordered matrix
+``sigma_min`` itself works on ``S``, which keeps the generator's at most
+four non-zeros per column: since ``z0^T S = 0``, one sparse LU of the
+bordered matrix
 
     B(lambda) = [[S - i lambda I, z0], [z0^T, 0]],
 
@@ -73,8 +63,8 @@ the diagonal blocks of one sparse LU, and their recurrences run side by
 side on ``(K, 2n + 1)`` arrays, so one ``splu`` call and one pair of
 solves per step serve the whole batch.
 
-On the sparse route the ``sigma_min`` points that do not depend on each
-other are split over the CPUs of the affinity mask by ``fork``ed workers
+The ``sigma_min`` points that do not depend on each other are split over
+the CPUs of the affinity mask by ``fork``ed workers
 (:func:`_sigma_min_batch`, on :mod:`twospeed.forking`), as
 pseudospectra codes split their grids over processors (Trefethen 1999);
 SuperLU holds the GIL and the Lanczos recurrence between its solves is
@@ -83,10 +73,7 @@ forked only when each gets at least one full batch; a smaller set of
 points runs in the calling process, where a fork would cost more than
 the points.  A point's value depends on its ``lambda`` alone (its own
 block of the LU, kept in a fixed order, and a fixed Lanczos start), so
-it is the same bit for bit in any batch and wherever it runs.  The dense
-route stays in one process: its SVDs run on the threaded BLAS, and
-forked copies would compete for the same cores (with two OpenBLAS
-threads on two CPUs a split sweep took twice as long at ``n = 64``).
+it is the same bit for bit in any batch and wherever it runs.
 
 A positive gap ``psi`` feeds the semigroup bound
 
@@ -94,9 +81,12 @@ A positive gap ``psi`` feeds the semigroup bound
         <= exp(-t * psi + pi/2),
 
 which :func:`semigroup_bound_check` verifies pointwise on a time grid
-with the dense matrix exponential of ``S_c``, one product per grid time
-and one exponential per new time step.  Its norm is that of
-``exp(t S0)``, as ``exp(c t) <= exp(-beta t) <= ||exp(t S0)||``.
+with the dense matrix exponential of Hotelling's rank-one deflation
+``S_c = S + c z0 z0^T`` (:func:`restricted_operator`), one product per
+grid time and one exponential per new time step.  ``S_c`` is block
+diagonal, ``S0`` on the complement and the scalar ``c = -3 beta`` on
+``z0``, so its norm is that of ``exp(t S0)``, as
+``exp(c t) <= exp(-beta t) <= ||exp(t S0)||``.
 """
 
 from __future__ import annotations
@@ -133,26 +123,7 @@ REFINE_DEPTH = 40
 #: Fewest coarse sweep points :func:`psi_sweep` accepts.
 MIN_COARSE_POINTS = 16
 
-#: Matrix side ``2n`` from which ``psi_sweep`` takes ``sigma_min`` from a
-#: sparse LU and inverse Lanczos instead of a dense SVD.  Mean CPU time
-#: per point over 511 points of the default coarse grid (which ends at
-#: :func:`default_lambda_max`), variant fields, one BLAS thread on a
-#: 2-core x86-64 host; fastest of two runs of three, in one process.
-#: The sparse route feeds the points in batches of
-#: :data:`SIGMA_MIN_BATCH_UNKNOWNS` unknowns; "one at a time" is the
-#: earlier route, one LU per point:
-#:
-#:     n                16    32    64    96    128   256
-#:     dense            0.16  0.61  2.3   7.4   15.5        ms
-#:     sparse, batched  0.19  0.35  0.75  0.83  1.14  2.65  ms
-#:     one at a time    0.82  1.22  1.55  1.34  1.79  3.83  ms
-#:
-#: The routes cross between n = 16 and 32, so the sparse route starts at
-#: n = 32, and n = 16, the warm-up of a benchmark op, keeps the dense
-#: SVD.
-SPARSE_SIGMA_MIN_SIDE = 64
-
-#: Unknowns per block-diagonal LU of the sparse route: ``psi_sweep``
+#: Unknowns per block-diagonal LU of :func:`sparse_sigma_min`: ``psi_sweep``
 #: passes ``max(1, SIGMA_MIN_BATCH_UNKNOWNS // (2n + 1))`` points at a
 #: time to :func:`twospeed.generator.bordered_sigma_min`, 11 at n = 128.
 #: There, batches of 7, 11, 15 and 20 points took 1.0-1.3, 1.0-1.1,
@@ -218,18 +189,6 @@ def _check_cap(gen: GeneratorMatrix) -> None:
         raise NumericalError(f"matrix side {gen.size} exceeds the dense solver cap {DENSE_CAP}")
 
 
-def _lapack(what: str, kernel, *args, **kwargs):
-    """``kernel(*args, **kwargs)``, a LAPACK failure raised as :class:`NumericalError`.
-
-    Callers pass ``scipy.linalg.<kernel>`` looked up at the call, so a
-    patched kernel sees every call.
-    """
-    try:
-        return kernel(*args, **kwargs)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"{what} failed: {exc}") from exc
-
-
 def mean_zero_direction(gen: GeneratorMatrix) -> np.ndarray:
     """The unit right and left null vector ``z0 = sqrt(h * steady)`` of ``S``."""
     return np.sqrt(gen.grid.h * gen.steady)
@@ -238,11 +197,12 @@ def mean_zero_direction(gen: GeneratorMatrix) -> np.ndarray:
 def restricted_operator(gen: GeneratorMatrix):
     """Dense ``S_c = S + c z0 z0^T`` and its shift ``c = -3 beta``, ``beta`` = :func:`default_lambda_max`.
 
-    ``c <= -beta`` keeps the block ``c`` out of the propagator norm and
-    ``|c| = 3 beta`` keeps its singular value out of ``sigma_min`` for
-    ``|lambda| <= 2 beta`` (module docstring).  The shift does not grow
-    with the sweep range: its size sets the rounding of the dense solves
-    on ``S_c``.
+    ``c <= -beta`` keeps the block ``c`` out of the propagator norm of
+    :func:`semigroup_bound_check`, its one caller.  The factor 3 was
+    chosen for the dense ``sigma_min`` route that ``psi_sweep`` once took
+    below ``n = 32``, where ``|c| = 3 beta`` kept the block's singular
+    value out of ``sigma_min(S_c - i lambda)`` for ``|lambda| <= 2 beta``;
+    it stays so that the semigroup norms do not move.
     """
     _check_cap(gen)
     c = -3.0 * default_lambda_max(gen)
@@ -285,7 +245,10 @@ def spectrum(gen: GeneratorMatrix) -> SpectrumReport:
     """
     _check_cap(gen)
     s = sparse_symmetrized(gen)
-    vals = _lapack("dense eigensolver", scipy.linalg.eigvals, s.toarray(order="F"), overwrite_a=True)
+    try:
+        vals = scipy.linalg.eigvals(s.toarray(order="F"), overwrite_a=True)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"dense eigensolver failed: {exc}") from exc
 
     vals = vals[np.lexsort((vals.imag, vals.real))]
     zero_idx = int(np.argmin(np.abs(vals)))
@@ -409,16 +372,15 @@ def psi_sweep(
     Rounding.  Each computed ``phi_k`` is lowered by an allowance before
     it enters a chord.  A sample ``f_k`` errs by at most
     ``e_k = LANCZOS_TOL f_k + 32 eps (beta + lambda_k)``.  The first term
-    is the sparse route's stopping rule: the Ritz value lies within
+    is the Lanczos stopping rule: the Ritz value lies within
     ``LANCZOS_TOL`` relative of an eigenvalue of ``B^{-H} B^{-1}``.  That
     it is the top one is trusted, not proved; a Ritz value can only
     underestimate the top eigenvalue, so a wrong one overestimates
-    ``f``.  The second covers a backward-stable SVD of
-    ``S_c - i lambda``, whose norm is at most ``3 beta + lambda``, and
-    the sparse LU's solves.  So ``phi_k`` errs
-    by at most ``(2 f_k + e_k) e_k`` through the sample.  Forming
-    ``f_k^2 - lambda_k^2``, which cancels near ``lambda = beta``, and the
-    chord's quadratic at its minimiser add less than
+    ``f``.  The second covers the sparse LU's solves with ``B(lambda)``,
+    whose block ``S - i lambda`` has norm at most ``beta + lambda``.  So
+    ``phi_k`` errs by at most ``(2 f_k + e_k) e_k`` through the sample.
+    Forming ``f_k^2 - lambda_k^2``, which cancels near ``lambda = beta``,
+    and the chord's quadratic at its minimiser add less than
     ``8 eps (f_k^2 + lambda_k^2)``.  The allowance is the sum of the two.
 
     Each new sample must lie on or above its interval's bound, less its
@@ -428,10 +390,10 @@ def psi_sweep(
     the level at one of its ends, where the allowance exceeds the
     ``RANK_TOL`` margin.
 
-    Every ``sigma_min`` takes the route of the module docstring.  On the
-    sparse route the grid and each round's new samples are one batch for
-    :func:`_sigma_min_batch` each, bit-identical to a serial sweep, and
-    no dense matrix is formed.
+    Every ``sigma_min`` comes from :func:`sparse_sigma_min`.  The grid
+    and each round's new samples are one call of :func:`_sigma_min_batch`
+    each, bit-identical to a serial sweep, and no dense matrix is formed,
+    so :data:`DENSE_CAP` does not apply.
     """
     beta = default_lambda_max(gen)
     if lambda_max == 0.0:
@@ -443,18 +405,7 @@ def psi_sweep(
     if refine_depth < 1:
         raise ConfigurationError("refine_depth must be at least 1")
 
-    if gen.size >= SPARSE_SIGMA_MIN_SIDE:
-        sig_min, workers = sparse_sigma_min(gen), _worker_count()
-    else:
-        s_c, _ = restricted_operator(gen)
-        eye = np.eye(s_c.shape[0])
-
-        def sig_min(lams) -> np.ndarray:
-            return np.array(
-                [_lapack(f"SVD at lambda = {lam}", scipy.linalg.svdvals, s_c - 1j * lam * eye)[-1] for lam in lams]
-            )
-
-        workers = 1
+    sig_min, workers = sparse_sigma_min(gen), _worker_count()
     batch = max(1, SIGMA_MIN_BATCH_UNKNOWNS // (gen.size + 1))
 
     f0 = float(sig_min([0.0])[0])

@@ -214,7 +214,7 @@ def test_psi_artifacts(gt_config, tmp_path):
     assert (cols["sigma_min"] > 0.0).all()
 
 
-@pytest.mark.parametrize("n", [16, 96], ids=["dense", "sparse"])
+@pytest.mark.parametrize("n", [16, 96])
 def test_psi_artifacts_recheck_the_certificate(gt_config, tmp_path, n):
     # psi_sweep.csv and psi.report.json alone re-check psi_hat for all real
     # lambda. Between neighbouring rows sigma_min^2 is at least lambda^2

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 import twospeed as ts
 import twospeed.generator
 import twospeed.spectral
+from twospeed.cli import ABSCISSA_TRIANGLE_TOL
 from twospeed.errors import ConfigurationError, NumericalError
 from twospeed.generator import RANK_TOL, bordered_sigma_min, folded, sparse_symmetrized, symmetrized
 from twospeed.spectral import (
-    SPARSE_SIGMA_MIN_SIDE,
+    SIGMA_MIN_BATCH_UNKNOWNS,
     default_lambda_max,
     mean_zero_direction,
     restricted_operator,
@@ -106,15 +107,13 @@ def test_variant_spectrum_in_left_half_plane(gen_variant_128):
     assert (np.abs(rep.eigenvalues) <= 1e-8 * scale).sum() == 1
 
 
-def test_dense_cap_enforced(gt_fields, gen_gt_64, monkeypatch):
+def test_dense_cap_enforced(gen_gt_64, monkeypatch):
     monkeypatch.setattr(twospeed.spectral, "DENSE_CAP", 16)
     with pytest.raises(NumericalError, match="dense solver cap 16"):
         ts.spectrum(gen_gt_64)
-    # n = 16 takes the dense sigma_min route, which forms S_c.
-    gen_16 = ts.assemble(*gt_fields, ts.Grid(16))
-    assert gen_16.size < SPARSE_SIGMA_MIN_SIDE
-    with pytest.raises(NumericalError, match="dense solver cap 16"):
-        ts.psi_sweep(gen_16)
+    # The psi sweep forms no dense matrix at any n, so the cap does not
+    # stop it.
+    assert ts.psi_sweep(gen_gt_64, coarse_points=16).psi_hat > 0.0
     est = ts.PsiEstimate(np.zeros(16), np.ones(16), np.ones(16), 1.0, 0.0, 20.0, 20.0, 1)
     with pytest.raises(NumericalError, match="dense solver cap 16"):
         ts.semigroup_bound_check(gen_gt_64, est, [0.0, 1.0])
@@ -152,10 +151,8 @@ def test_psi_sweep_mirror_symmetry(gen_gt_64):
 def test_psi_certificate_ignores_sweep_range(variant_fields, n):
     # The range only places the first samples, so a sweep that stops
     # short of the minimum, or reaches six times as far as ||S0||_2,
-    # certifies the same gap up to RANK_TOL, on the dense route (n = 16)
-    # and on the sparse one (n = 64 and 96).
+    # certifies the same gap up to RANK_TOL.
     gen = ts.assemble(*variant_fields, ts.Grid(n))
-    assert (gen.size >= SPARSE_SIGMA_MIN_SIDE) == (n != 16)
     full = ts.psi_sweep(gen)
     wide = ts.psi_sweep(gen, lambda_max=transport_lambda_max(gen))
     assert full.lambda_max == default_lambda_max(gen) < wide.lambda_max
@@ -229,16 +226,16 @@ def test_psi_certificate_is_tight_lower_bound():
         assert polished <= est.psi_hat * (1.0 + 1e-6), f"draw {draw}"
 
 
-# Admissible draws from the benchmark's field box, on the dense sigma_min
-# route (n = 16) and the first size of the sparse one (n = 32).
-benchmark_box = given(
-    b1=st.floats(0.8, 1.2),
-    a=st.floats(-1.2, -0.8),
-    b=st.floats(0.2, 0.5),
-    c=st.floats(-0.2, 0.2),
-    sigma=st.floats(0.5, 1.5),
-    n=st.sampled_from([16, 32]),
-)
+def benchmark_box(*sizes):
+    """Admissible draws from the benchmark's field box on the grid sizes ``sizes``."""
+    return given(
+        b1=st.floats(0.8, 1.2),
+        a=st.floats(-1.2, -0.8),
+        b=st.floats(0.2, 0.5),
+        c=st.floats(-0.2, 0.2),
+        sigma=st.floats(0.5, 1.5),
+        n=st.sampled_from(sizes),
+    )
 
 
 def box_generator(b1, a, b, c, sigma, n):
@@ -251,7 +248,7 @@ def box_generator(b1, a, b, c, sigma, n):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@benchmark_box
+@benchmark_box(16, 32)
 def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
     # The sparse helper is called directly, on both sizes.
     gen = box_generator(b1, a, b, c, sigma, n)
@@ -279,10 +276,9 @@ def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
     dense = scipy.linalg.svdvals(q.T @ gen.matrix @ q)[-1]
     assert bordered_sigma_min(folded(gen.operator, n), u)([0.0])[1][0] == pytest.approx(dense, rel=1e-8)
 
-    # The dense route's S_c = S + c z0 z0^T: the spectrum of S0 and c, and
-    # the same sigma_min at every sample up to L = beta + sigma_min(0)
-    # <= 2 beta, where the block's singular value |c - i lambda| >= 3 beta
-    # is never the smallest.
+    # The semigroup check's S_c = S + c z0 z0^T has the spectrum of S0
+    # and c; the sweep's samples stop at L = beta + sigma_min(0) <= 2 beta
+    # and match the oracle's sigma_min.
     s_c, shift = restricted_operator(gen)
     beta = default_lambda_max(gen)
     assert shift == -3.0 * beta
@@ -295,7 +291,7 @@ def test_sparse_sigma_min_matches_dense_svd(b1, a, b, c, sigma, n):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@benchmark_box
+@benchmark_box(16, 32)
 def test_chord_certificate_matches_the_hamiltonian_oracle(b1, a, b, c, sigma, n):
     # H(psi_hat) has no imaginary-axis eigenvalue, so psi_hat lies below
     # sigma_min on all of R; H(psi_hat (1 + 2 RANK_TOL)) has one, so
@@ -305,6 +301,20 @@ def test_chord_certificate_matches_the_hamiltonian_oracle(b1, a, b, c, sigma, n)
     est = ts.psi_sweep(gen, coarse_points=16)
     assert len(hamiltonian_crossings(s0, est.psi_hat, gen.operator_scale())) == 0
     assert len(hamiltonian_crossings(s0, est.psi_hat * (1.0 + 2.0 * RANK_TOL), gen.operator_scale())) > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@benchmark_box(8, 16, 32)
+def test_box_draws_keep_the_triangle_and_monotone_entropy(b1, a, b, c, sigma, n):
+    # The rigorous half of the report's consistency triangle: psi_hat
+    # bounds the resolvent gap below, which is at most the decay rate of
+    # the slowest mode.  And the implicit trapezoid, a contraction in the
+    # weighted norm, never lets the relative entropy rise.
+    gen = box_generator(b1, a, b, c, sigma, n)
+    est = ts.psi_sweep(gen, coarse_points=16)
+    assert est.psi_hat <= abs(ts.spectrum(gen).x0_abscissa) + ABSCISSA_TRIANGLE_TOL
+    series = ts.evolve(gen, ts.steady_plus_mode(gen, 1, 0.01), T=1.0, dt=1e-2)
+    assert np.diff(series.entropy).max() <= 0.0
 
 
 def assert_same_points(x, y, tol):
@@ -341,7 +351,6 @@ def test_sparse_sigma_min_is_independent_of_earlier_points(b1, trig, sigma):
         ts.FieldSpec.constant(sigma),
         ts.Grid(96),
     )
-    assert gen.size >= SPARSE_SIGMA_MIN_SIDE
     s0 = mean_zero_operator(gen)
     eye = np.eye(s0.shape[0])
     lams = np.linspace(0.0, transport_lambda_max(gen), 128)[1:]
@@ -385,7 +394,6 @@ def test_sparse_route_runs_without_arpack(variant_fields, monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_arpack)
     gen = ts.assemble(*variant_fields, ts.Grid(96))
-    assert gen.size >= SPARSE_SIGMA_MIN_SIDE
     assert ts.psi_sweep(gen, coarse_points=16).psi_hat > 0.0
 
 
@@ -398,7 +406,7 @@ def test_sparse_sigma_min_raises_at_the_step_cap(gen_variant_64, monkeypatch):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@benchmark_box
+@benchmark_box(16, 32)
 def test_default_lambda_max_bounds_the_operator_norm(b1, a, b, c, sigma, n):
     gen = box_generator(b1, a, b, c, sigma, n)
     bound = default_lambda_max(gen)
@@ -406,18 +414,17 @@ def test_default_lambda_max_bounds_the_operator_norm(b1, a, b, c, sigma, n):
     assert bound >= np.linalg.norm(symmetrized(gen), 2)
 
 
-@pytest.mark.parametrize("n", [16, 96], ids=["dense", "sparse"])
+@pytest.mark.parametrize("n", [16, 96])
 def test_far_sweep_range_keeps_the_certificate(variant_fields, n):
-    # Samples stop at L = beta + sigma_min(0) whatever the range, and the
-    # deflation shift does not grow with it, so the dense solves err by
-    # about eps ||S0||, not eps lambda_max: psi_hat stays within RANK_TOL
-    # of where the default range puts it and below the oracle's
-    # sigma_min at argmin_lambda, on either sigma_min route.
+    # Samples stop at L = beta + sigma_min(0) whatever the range, so the
+    # solves err by about eps ||S0||, not eps lambda_max: psi_hat stays
+    # within RANK_TOL of where the default range puts it and below the
+    # oracle's sigma_min at argmin_lambda.
     gen = ts.assemble(*variant_fields, ts.Grid(n))
     auto = ts.psi_sweep(gen, coarse_points=16)
     s0 = mean_zero_operator(gen)
     eye = np.eye(s0.shape[0])
-    # At 1e200 and 1e300 B^{-H} B^{-1} of the sparse route, of size
+    # At 1e200 and 1e300 B^{-H} B^{-1}, of size
     # 1 / lambda^2, underflows unless the Lanczos run scales its vectors.
     for lambda_max in (1e10, 1e16, 1e200, 1e300):
         est = ts.psi_sweep(gen, lambda_max=lambda_max, coarse_points=16)
@@ -436,7 +443,6 @@ def test_broken_norm_bound_raises_numerical_error(gen_gt_64, monkeypatch):
 
 
 def test_sparse_psi_sweep_matches_dense_svd(gen_variant_128):
-    assert gen_variant_128.size >= SPARSE_SIGMA_MIN_SIDE
     est = ts.psi_sweep(gen_variant_128, coarse_points=128, refine_depth=30)
     s0 = mean_zero_operator(gen_variant_128)
     eye = np.eye(s0.shape[0])
@@ -446,22 +452,23 @@ def test_sparse_psi_sweep_matches_dense_svd(gen_variant_128):
     assert est.psi_hat <= abs(ts.spectrum(gen_variant_128).x0_abscissa)
 
 
-@pytest.mark.parametrize("n", [96, 128])
+@pytest.mark.parametrize("n", [16, 96, 128])
 def test_psi_sweep_split_is_bit_identical(variant_fields, monkeypatch, n):
     # Every point is computed from the same inputs in its own block of a
     # batch's LU, in a forked worker or not: the real CPU count, one CPU
     # (in-process) and three workers give the values of an in-process
-    # run in batches of 5 bit for bit.
+    # run in batches of 5 bit for bit.  The coarse grid gives each of
+    # three workers a full batch, 93 points at n = 16.
     gen = ts.assemble(*variant_fields, ts.Grid(n))
-    assert gen.size >= SPARSE_SIGMA_MIN_SIDE
-    real = ts.psi_sweep(gen, coarse_points=128)
+    coarse_points = max(128, 3 * (SIGMA_MIN_BATCH_UNKNOWNS // (gen.size + 1)) + 1)
+    real = ts.psi_sweep(gen, coarse_points=coarse_points)
     sig_min = sparse_sigma_min(gen)
     lams = real.lambda_grid
     serial = np.concatenate([sig_min([0.0]), *(sig_min(lams[i : i + 5]) for i in range(1, len(lams), 5))])
     assert np.array_equal(real.sigma_min_values, serial)
     for cpus in ({0}, {0, 1, 2}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        est = ts.psi_sweep(gen, coarse_points=128)
+        est = ts.psi_sweep(gen, coarse_points=coarse_points)
         assert np.array_equal(est.sigma_min_values, serial), cpus
         assert (est.psi_hat, est.argmin_lambda) == (real.psi_hat, real.argmin_lambda), cpus
     assert_no_child_processes()
