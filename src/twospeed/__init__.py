@@ -51,6 +51,7 @@ from .generator import (
     assemble,
     dissipativity_check,
     hermitian_abscissa,
+    hermitian_allowance,
     symmetrized,
 )
 from .evolution import (

@@ -12,8 +12,10 @@ Subcommands
     single-stage CSVs byte for byte and puts each stage's section into
     one consolidated ``report.json`` (the evolve section split into
     ``decay`` and ``entropy``).  It then verifies the cross-module
-    consistency checks (fitted decay rate vs. resolvent gap vs. spectral
-    abscissa, and the semigroup envelope along the recorded trajectory).
+    consistency checks: fitted decay rate vs. resolvent gap vs. spectral
+    abscissa, the accretivity that certifies the semigroup envelope at
+    every time (Wei's theorem, see :func:`cmd_report`), and that
+    envelope along the recorded trajectory.
 
     ``report`` runs the lemma and evolve stages, which read no other
     stage's result, each in its own ``fork``ed child beside steady,
@@ -21,11 +23,11 @@ Subcommands
     call ``os.nice(19)``, so they take the CPU that the rest of the
     report leaves idle (the spectrum, and the serial parts of the psi
     sweep) rather than slow the psi sweep's ``sigma_min`` batches, which
-    are on the critical path.  Once psi is done the
-    caller runs the semigroup check while the children finish.  Each
+    are on the critical path.  Once psi is done the caller computes the
+    Hermitian abscissa while the children finish.  Each
     child writes its CSVs itself and pipes back its stage result.
     Errors keep the order of a serial run (steady, spectrum, psi,
-    semigroup check, lemma, evolve): a failure in the caller kills the
+    Hermitian abscissa, lemma, evolve): a failure in the caller kills the
     children and raises; a failure in a child raises once the caller's
     work has succeeded, lemma's before evolve's.  A report that fails in
     the caller may therefore leave a partial ``timeseries.csv`` or
@@ -64,7 +66,7 @@ from . import __version__
 from .errors import ConfigurationError, TwoSpeedError
 from .fields import FieldSpec, validate_cross_section_overlap, validate_transport_fields
 from .forking import _fork_map
-from .generator import Grid, assemble, hermitian_abscissa
+from .generator import Grid, assemble, hermitian_abscissa, hermitian_allowance
 from .evolution import (
     SCHEMES,
     component_imbalance,
@@ -80,7 +82,6 @@ from .spectral import (
     MIN_COARSE_POINTS,
     REFINE_DEPTH,
     psi_sweep,
-    semigroup_bound_check,
     spectrum,
 )
 from .stationary_phase import MIN_SWEEP_POINTS, lemma_sweep
@@ -647,6 +648,25 @@ def _run_stage(name: str, cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
+    """Every stage, the consistency checks and ``report.json``.
+
+    The semigroup envelope is certified by Wei's generalised
+    Gearhart-Pruss theorem (Sci. China Math. 64 (2021) 507-518): for an
+    m-accretive ``H``, ``||exp(-t H)|| <= exp(-t Psi(H) + pi/2)`` at every
+    ``t >= 0``.  With ``H = -S0``, ``Psi(H)`` is the gap that the psi
+    stage bounds below by ``psi_hat``.  ``eps``, the Hermitian abscissa
+    (at least 0) plus its rounding allowance
+    (:func:`twospeed.generator.hermitian_allowance`), bounds the
+    symmetric part of ``S`` above, so ``H + eps`` is accretive and
+    ``Psi(H + eps) >= psi_hat - eps``.  Hence
+    ``||exp(t S0)|| <= exp(-t (psi_hat - 2 eps) + pi/2)`` for every ``t``:
+    ``envelope.semigroup_bound`` lists it at the ``t_grid`` times, the
+    trajectory envelope uses the same certified rate, and the check
+    ``accretive`` holds when that rate is positive.
+
+    Errors keep the order of a serial run: steady, spectrum, psi,
+    Hermitian abscissa, lemma, evolve (module docstring).
+    """
     reports = _validation_gate(cfg, args)
     if reports is None:
         return EXIT_ASSUMPTION
@@ -658,12 +678,12 @@ def cmd_report(cfg: RunConfig, args) -> int:
 
     def own() -> tuple:
         stages = run([name for name in _STAGES if name not in _SIDE_STAGES])
-        return stages, semigroup_bound_check(gen, stages["psi"][0], np.asarray(cfg.t_grid))
+        return stages, hermitian_abscissa(gen)
 
     # At niceness 19 the side children take the CPU that the stages on the
     # critical path, psi's sigma_min batches above all, leave idle; the
-    # caller runs the semigroup check while they finish.
-    (first, semigroup), *rest = _fork_map(
+    # caller computes the Hermitian abscissa while they finish.
+    (first, herm), *rest = _fork_map(
         [own, *(functools.partial(run, [name]) for name in _SIDE_STAGES)], nice=19
     )
     stages = {**first, **{name: stage for side in rest for name, stage in side.items()}}
@@ -674,14 +694,19 @@ def cmd_report(cfg: RunConfig, args) -> int:
         raise fit_error
     evolved = sections.pop("evolve")
 
-    envelope_bounds = np.exp(0.5 * math.pi - est.psi_hat * series.times) * series.deviation[0]
+    eps = max(herm, 0.0) + hermitian_allowance(gen)
+    rate = est.psi_hat - 2.0 * eps
+    # The bound overflows to inf only for a negative rate, which fails ``accretive``.
+    with np.errstate(over="ignore"):
+        envelope_bounds = np.exp(0.5 * math.pi - rate * series.times) * series.deviation[0]
+        semigroup_bound = np.exp(0.5 * math.pi - rate * np.asarray(cfg.t_grid))
     envelope_margin = float((envelope_bounds - series.deviation).min())
     checks = {
         "assumptions": all(rep.passed for rep in reports),
         "decay_rate_vs_gap": evolved["alpha_hat"] >= est.psi_hat - ALPHA_TRIANGLE_TOL,
         "abscissa_vs_gap": abs(sections["spectrum"]["x0_abscissa"]) >= est.psi_hat - ABSCISSA_TRIANGLE_TOL,
         "trajectory_envelope": envelope_margin >= 0.0,
-        "semigroup_envelope": semigroup.passed,
+        "accretive": rate > 0.0,
     }
     violated = sorted(name for name, ok in checks.items() if not ok)
 
@@ -694,7 +719,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
             "velocities": asdict(rep1),
             "cross_section_overlap": asdict(rep2),
         },
-        "generator": {"hermitian_abscissa": hermitian_abscissa(gen)},
+        "generator": {"hermitian_abscissa": herm},
         **sections,
         # The evolve section, split into the decay fit and the entropy bookkeeping.
         "decay": {key: evolved[key] for key in ("alpha_hat", "prefactor", "window", "fit_residual")},
@@ -705,7 +730,9 @@ def cmd_report(cfg: RunConfig, args) -> int:
         },
         "envelope": {
             "trajectory_margin": envelope_margin,
-            "semigroup_margins": [float(v) for v in semigroup.margins],
+            "eps": eps,
+            "certified_rate": rate,
+            "semigroup_bound": [float(v) for v in semigroup_bound],
         },
         "checks": checks,
         "violated": violated,

@@ -7,8 +7,10 @@ contraction in the weighted metric because the generator is dissipative
 there) or the classical explicit fourth-order scheme under a CFL
 restriction.  The trapezoid rule factors ``I - (dt/2) A`` once with a
 sparse LU (SuperLU through ``scipy.sparse.linalg.splu``), so each step
-costs one sparse matrix-vector product and one pair of sparse triangular
-solves, O(n) work and memory, and no dense ``2n x 2n`` array is formed.
+costs one pair of sparse triangular solves (the next right-hand side
+follows from the update without a product with ``A``; one product per
+recorded step refreshes it), O(n) work and memory, and no dense
+``2n x 2n`` array is formed.
 
 Observers recorded along the way, all in the metric induced by the
 generator's discrete steady state ``v``:
@@ -204,6 +206,7 @@ def evolve(
             snapshots.append((step * dt, StateVector(x, p[:n].copy(), p[n:].copy())))
 
     record(0)
+    rhs = None if lu is None else dt * (op @ p)
     for step in range(1, nsteps + 1):
         if scheme == "explicit-rk4":
             k1 = op @ p
@@ -214,15 +217,23 @@ def evolve(
         else:
             # Increment form of the trapezoid step: solving for the update
             # keeps the conserved mass functional clean of large-state
-            # roundoff over long runs.
-            rhs = dt * (op @ p)
+            # roundoff over long runs.  The update d solves M d = rhs with
+            # rhs = dt A p and M = I - (dt/2) A, so dt A = 2 (I - M) gives
+            # the next right-hand side dt A (p + d) = 2 d - rhs without a
+            # product with A.
             if complex_run:
                 sol = lu.solve(np.column_stack([rhs.real, rhs.imag]))
-                p = p + (sol[:, 0] + 1j * sol[:, 1])
+                d = sol[:, 0] + 1j * sol[:, 1]
             else:
-                p = p + lu.solve(rhs)
+                d = lu.solve(rhs)
+            p = p + d
+            rhs = 2.0 * d - rhs
         if step % observe_every == 0 or step == nsteps:
             record(step)
+            if lu is not None:
+                # A fresh product at each record bounds the rounding that
+                # the recurrence can accumulate.
+                rhs = dt * (op @ p)
 
     return TimeSeries(
         np.asarray(times),

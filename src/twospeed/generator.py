@@ -27,7 +27,8 @@ sparsity; :func:`symmetrized` is its dense copy.  ``matrix``, the dense
 copy of ``A``, is built on every read and never kept (``--dump-matrix``
 and tests); no stage of the pipeline reads it.  :func:`hermitian_abscissa`
 works on the symmetric part of ``S`` as a band matrix in
-:func:`fold_order`, in O(n) memory.
+:func:`fold_order`, in O(n) memory, and :func:`hermitian_allowance`
+bounds its rounding error.
 
 The canonical discrete steady state is the matrix's own null vector, not
 the sampled ODE solution.  Because every column of the matrix ``A`` sums
@@ -538,3 +539,43 @@ def hermitian_abscissa(gen: GeneratorMatrix) -> float:
     band[offsets, sym.col[lower]] = sym.data[lower]
     top = scipy.linalg.eigvals_banded(band, lower=True, select="i", select_range=(m - 1, m - 1))
     return float(top[0])
+
+
+#: ``p(m) / m`` in the backward error ``p(m) eps ||B||_2`` of the banded
+#: symmetric eigensolver that :func:`hermitian_allowance` allows for.
+HERMITIAN_BACKWARD_FACTOR = 32
+
+
+def hermitian_allowance(gen: GeneratorMatrix) -> float:
+    """Bound on the rounding error of :func:`hermitian_abscissa`.
+
+    Let ``B`` be the symmetric part of ``S = D^{-1/2} A D^{1/2}`` formed
+    in exact arithmetic from the stored ``operator`` and ``steady``, and
+    ``B'`` the band that :func:`hermitian_abscissa` forms.  Two errors
+    separate its result from the top eigenvalue of ``B``.  Each is a
+    perturbation of the matrix, and Weyl's bound moves the top eigenvalue
+    of a symmetric matrix by at most the 2-norm of the perturbation.
+
+    - Forming ``B'``: each entry takes at most five roundings (the square
+      roots of two weights, a division, a product and the sum of ``s_ij``
+      and ``s_ji``; the halving is exact), so ``|B' - B| <= 5 eps |B|``
+      entrywise to first order, and ``||B' - B||_2 <= 5 eps || |B| ||_2``.
+    - Solving: LAPACK's ``dsbevx`` reduces ``B'`` to tridiagonal form by
+      plane rotations and bisects at its tightest tolerance.  Its value is
+      the top eigenvalue of ``B' + F`` with ``||F||_2 <= p(m) eps ||B'||_2``
+      (LAPACK Users' Guide, 3rd ed., section 4.7), for a modest ``p`` of the
+      side ``m`` that LAPACK leaves open.  A reduction by plane rotations
+      has a backward error linear in the number of rotation stages, so
+      linear in ``m`` for a fixed band (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2002, section 19.6).  ``p(m)`` is taken as
+      ``HERMITIAN_BACKWARD_FACTOR * m``, a stated bound, not a fit.
+
+    ``B`` is symmetric, so both norms are at most
+    ``|| |B| ||_inf <= (||S||_1 + ||S||_inf) / 2``.  The bound returned is
+    ``(5 + HERMITIAN_BACKWARD_FACTOR m) eps (||S||_1 + ||S||_inf) / 2``.  Its
+    slack over ``m >= 16`` covers the second-order terms and the rounding
+    of the norms themselves.
+    """
+    s = sparse_symmetrized(gen)
+    norm = 0.5 * (scipy.sparse.linalg.norm(s, 1) + scipy.sparse.linalg.norm(s, np.inf))
+    return float((5 + HERMITIAN_BACKWARD_FACTOR * gen.size) * np.finfo(float).eps * norm)

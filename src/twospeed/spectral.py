@@ -78,10 +78,14 @@ it is the same bit for bit in any batch and wherever it runs.
 A positive gap ``psi`` feeds the semigroup bound
 
     || exp(t S) restricted to the mean-zero subspace ||
-        <= exp(-t * psi + pi/2),
+        <= exp(-t * (psi - 2 eps) + pi/2)   for every t >= 0,
 
-which :func:`semigroup_bound_check` verifies pointwise on a time grid
-with the dense matrix exponential of Hotelling's rank-one deflation
+Wei's generalised Gearhart-Pruss theorem (Sci. China Math. 64 (2021)
+507-518) once ``eps`` bounds the symmetric part of ``S`` above; the
+report certifies it so (``twospeed.cli.cmd_report``).
+:func:`semigroup_bound_check` is the dense reference that the tests
+compare the theorem's bound against.  It takes the norms on a time grid
+from the dense matrix exponential of Hotelling's rank-one deflation
 ``S_c = S + c z0 z0^T`` (:func:`restricted_operator`), one product per
 grid time and one exponential per new time step.  ``S_c`` is block
 diagonal, ``S0`` on the complement and the scalar ``c = -3 beta`` on
@@ -451,7 +455,8 @@ def psi_sweep(
 def semigroup_bound_check(gen: GeneratorMatrix, psi: PsiEstimate, t_grid) -> SemigroupBoundReport:
     """Verify ``||exp(tA)|| <= exp(-t psi + pi/2)`` on the mean-zero subspace.
 
-    The norm is the largest singular value of the dense propagator
+    A dense reference, O(n^3) per time: no pipeline stage calls it.  The
+    norm is the largest singular value of the dense propagator
     ``P(t) = exp(t S_c)`` (:func:`restricted_operator`), that of
     ``exp(t S0)``.  Along the grid
     ``P(t_k) = exp((t_k - t_{k-1}) S_c) P(t_{k-1})`` (``t_{-1} = 0``), and

@@ -18,9 +18,10 @@ The quadrature resolves every oscillation with at least eight
 subintervals and uses composite Gauss-Legendre rules (eight nodes per
 subinterval) both for the cumulative phase and the outer integral, so
 constant-slope cases are accurate to well below 1e-10 at any swept
-frequency.  A ``limsup`` over a sequence is replaced by the maximum
-over the geometric tail of the sweep; it is reported with its margin,
-never claimed as proof.
+frequency.  A sweep integrates the cumulative phase once, on the grid
+of its largest frequency, and sums every frequency there.  A ``limsup``
+over a sequence is replaced by the maximum over the geometric tail of
+the sweep; it is reported with its margin, never claimed as proof.
 """
 
 from __future__ import annotations
@@ -81,36 +82,36 @@ def _resolution(lam: float, psi_max: float) -> tuple:
     return (MAX_SUBINTERVALS if capped else m), capped
 
 
-def phase_integral(psi, lam: float) -> complex:
-    """Compute ``I(lambda)`` with an oscillation-resolving grid.
+def _capped_note(lam: float) -> str:
+    return (
+        f"oscillation grid capped at {MAX_SUBINTERVALS} subintervals for "
+        f"lambda = {lam:.3g}; modulus accuracy is degraded"
+    )
 
-    ``psi`` may be a :class:`~twospeed.fields.FieldSpec` or any callable
-    mapping coordinates in ``[0, 1]`` to real values.  The number of
-    subintervals is at least ``DEFAULT_BASE_POINTS`` and grows linearly
-    with ``|lambda| * max|psi|`` so that each period of the integrand is
-    sampled at least eight times; above ten million subintervals the
-    grid saturates and an accuracy warning is emitted.
+
+def _phase_sums(psi, lams: np.ndarray) -> tuple:
+    """``I(lambda)`` at every ``lams`` on one grid, and the ``lams`` that grid under-resolves.
+
+    ``psi`` is probed once for its maximum, and the grid is the one that
+    resolves the largest ``|lambda|`` (:func:`phase_integral`).  The
+    cumulative phase at its outer nodes is integrated once; each
+    frequency is then one weighted sum of exponentials.  A chunk holds
+    at most ``_CHUNK * 8`` frequency-node pairs.
     """
     probe = _psi_values(psi, np.linspace(0.0, 1.0, 2049))
     psi_max = float(np.abs(probe).max())
-    m, capped = _resolution(lam, psi_max)
-    if capped:
-        warnings.warn(
-            f"oscillation grid capped at {MAX_SUBINTERVALS} subintervals for "
-            f"lambda = {lam:.3g}; modulus accuracy is degraded",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    m, _ = _resolution(float(np.abs(lams).max()), psi_max)
+    under = [float(lam) for lam in lams if _resolution(float(lam), psi_max)[1]]
 
-    edges = np.linspace(0.0, 1.0, m + 1)
     width = 1.0 / m
     offsets = 0.5 * width * (_GL_NODES + 1.0)  # node offsets within one subinterval
+    chunk = max(1, _CHUNK // len(lams))
 
-    total = 0.0 + 0.0j
+    totals = np.zeros(len(lams), dtype=complex)
     phase_at_edge = 0.0
-    for start in range(0, m, _CHUNK):
-        stop = min(start + _CHUNK, m)
-        left = edges[start:stop, None]
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        left = (np.arange(start, stop) * width)[:, None]
         nodes = left + offsets[None, :]  # (chunk, 8)
 
         # Cumulative phase at the outer nodes: prefix sums of the
@@ -123,19 +124,40 @@ def phase_integral(psi, lam: float) -> complex:
 
         cell_integrals = 0.5 * width * (_psi_values(psi, nodes.reshape(-1)).reshape(nodes.shape) @ _GL_WEIGHTS)
         prefix = phase_at_edge + np.concatenate(([0.0], np.cumsum(cell_integrals)[:-1]))
-        phases = prefix[:, None] + partial
+        phases = (prefix[:, None] + partial).reshape(-1)
 
-        total += (np.exp(1j * lam * phases) @ _GL_WEIGHTS).sum() * 0.5 * width
+        totals += np.exp(1j * np.multiply.outer(lams, phases)) @ np.tile(_GL_WEIGHTS, stop - start)
         phase_at_edge = prefix[-1] + cell_integrals[-1]
-    return complex(total)
+    return totals * (0.5 * width), under
+
+
+def phase_integral(psi, lam: float) -> complex:
+    """Compute ``I(lambda)`` with an oscillation-resolving grid.
+
+    ``psi`` may be a :class:`~twospeed.fields.FieldSpec` or any callable
+    mapping coordinates in ``[0, 1]`` to real values.  The number of
+    subintervals is at least ``DEFAULT_BASE_POINTS`` and grows linearly
+    with ``|lambda| * max|psi|`` so that each period of the integrand is
+    sampled at least eight times; above ten million subintervals the
+    grid saturates and an accuracy warning is emitted.  It is the
+    one-frequency case of :func:`lemma_sweep`'s shared grid.
+    """
+    values, under = _phase_sums(psi, np.array([float(lam)]))
+    if under:
+        warnings.warn(_capped_note(under[0]), RuntimeWarning, stacklevel=2)
+    return complex(values[0])
 
 
 def lemma_sweep(psi, lambda_min: float, lambda_max: float, points: int) -> PhaseSweep:
     """Sweep ``|I(lambda)|`` on a geometric grid and judge the tail.
 
-    The surrogate for the limit superior is the maximum modulus over the
-    largest half of the sweep; the verdict is consistent with
-    high-frequency non-degeneracy when that maximum stays below
+    Every frequency is summed on one grid, the one that resolves
+    ``lambda_max`` (:func:`phase_integral`), so ``psi`` is probed and its
+    cumulative phase integrated once per sweep.  ``warnings`` holds one
+    note for each frequency that a grid capped at ``MAX_SUBINTERVALS``
+    under-resolves.  The surrogate for the limit superior is the maximum
+    modulus over the largest half of the sweep; the verdict is consistent
+    with high-frequency non-degeneracy when that maximum stays below
     ``1 - DEFAULT_MARGIN``.
     """
     if not 0.0 < lambda_min < lambda_max:
@@ -143,14 +165,7 @@ def lemma_sweep(psi, lambda_min: float, lambda_max: float, points: int) -> Phase
     if points < MIN_SWEEP_POINTS:
         raise ConfigurationError(f"need at least {MIN_SWEEP_POINTS} sweep points")
     lambdas = np.geomspace(lambda_min, lambda_max, points)
-    notes = []
-    values = np.empty(points, dtype=complex)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        for i, lam in enumerate(lambdas):
-            values[i] = phase_integral(psi, float(lam))
-    for w in caught:
-        notes.append(str(w.message))
+    values, under = _phase_sums(psi, lambdas)
     moduli = np.abs(values)
     tail = moduli[points // 2 :]
     limsup = float(tail.max())
@@ -161,5 +176,5 @@ def lemma_sweep(psi, lambda_min: float, lambda_max: float, points: int) -> Phase
         limsup_estimate=limsup,
         lemma_consistent=bool(limsup < 1.0 - DEFAULT_MARGIN),
         margin=DEFAULT_MARGIN,
-        warnings=tuple(notes),
+        warnings=tuple(_capped_note(lam) for lam in under),
     )

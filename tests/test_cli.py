@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 
 import twospeed as ts
@@ -355,7 +356,37 @@ def test_report_consistent_run(gt_config, tmp_path, capsys):
     assert abs(report["spectrum"]["x0_abscissa"]) >= report["psi"]["psi_hat"] - 1e-6
     assert report["generator"]["hermitian_abscissa"] <= 1e-10
     assert report["entropy"]["mass_drift"] <= 1e-12
+    # Wei's theorem: the semigroup bound at each t_grid time, at the
+    # certified rate psi_hat - 2 eps.
+    envelope = report["envelope"]
+    assert report["checks"]["accretive"] is True
+    assert 0.0 < envelope["eps"] <= 1e-8
+    assert envelope["certified_rate"] == report["psi"]["psi_hat"] - 2.0 * envelope["eps"]
+    expected = [np.exp(np.pi / 2 - envelope["certified_rate"] * t) for t in (0.5, 1.0, 2.0)]
+    np.testing.assert_allclose(envelope["semigroup_bound"], expected, rtol=1e-15)
     assert "CONSISTENT" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "b2", ["{kind: constant, value: -1.0}", "{kind: trigonometric, a: -1.0, b: 0.4}"], ids=["gt", "variant"]
+)
+def test_report_runs_no_dense_semigroup_work(tmp_path, monkeypatch, capsys, b2):
+    # The report certifies the envelope by Wei's theorem; the dense
+    # semigroup check stays in the library as a reference only.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense semigroup work in report")
+
+    for name in ("semigroup_bound_check", "restricted_operator"):
+        monkeypatch.setattr(twospeed.spectral, name, refuse)
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    path = tmp_path / "run.yaml"
+    config = GT_CONFIG.format(out=tmp_path / "out").replace("n: 64", "n: 32")
+    path.write_text(config.replace("{kind: constant, value: -1.0}", b2))
+    assert main(_args(path, "report")) == 0
+    assert "CONSISTENT" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["n"] == 32 and report["checks"]["accretive"] and report["checks"]["trajectory_envelope"]
+    assert len(report["envelope"]["semigroup_bound"]) == 3
 
 
 def test_report_degenerate_with_override_fails_consistency(tmp_path, capsys):
@@ -509,15 +540,15 @@ def _failing(message):
 
 @pytest.mark.parametrize(
     "failing",
-    [("evolve",), ("lemma_sweep",), ("evolve", "lemma_sweep"), ("semigroup_bound_check", "evolve")],
+    [("evolve",), ("lemma_sweep",), ("evolve", "lemma_sweep"), ("hermitian_abscissa", "evolve")],
     ids="+".join,
 )
 def test_report_child_error_matches_the_serial_run(split_config, tmp_path, monkeypatch, capsys, caller_state, failing):
-    # The caller runs the semigroup check, and lemma and evolve run in
-    # that order after it. The first failure in that serial order names
+    # The caller computes the Hermitian abscissa, and lemma and evolve run
+    # in that order after it. The first failure in that serial order names
     # the error, on one CPU (in-process, in order) and on two (lemma and
     # evolve forked), and no stage runs after a failed one on one CPU.
-    first = min(failing, key=["semigroup_bound_check", "lemma_sweep", "evolve"].index)
+    first = min(failing, key=["hermitian_abscissa", "lemma_sweep", "evolve"].index)
     for name in failing:
         monkeypatch.setattr(twospeed.cli, name, _failing(f"injected in {name}"))
     path = split_config(32)

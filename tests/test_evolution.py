@@ -99,6 +99,33 @@ def test_implicit_step_matches_dense_trapezoid(variant_fields, kind):
     assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("observe_every", [1, 3, 7])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_trapezoid_recurrence_matches_dense_steps(variant_fields, kind, observe_every):
+    # Between records each step takes its right-hand side from the last
+    # update; each record recomputes it. The states at every record
+    # match dense trapezoid steps.
+    gen = ts.assemble(*variant_fields, ts.Grid(32))
+    p0 = ts.steady_plus_mode(gen, 1, 0.05) if kind == "real" else _complex_mode(gen, 1, 0.05)
+    dt, steps = 0.05, 21
+    series = ts.evolve(gen, p0, T=steps * dt, dt=dt, observe_every=observe_every, snapshot_every=observe_every)
+    eye = np.eye(gen.size)
+    step = np.linalg.solve(eye - 0.5 * dt * gen.matrix, eye + 0.5 * dt * gen.matrix)
+    ref = [p0.stacked]
+    for _ in range(steps):
+        ref.append(step @ ref[-1])
+    for t, state in series.snapshots:
+        k = int(round(t / dt))
+        assert np.abs(state.stacked - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max(), (t, kind)
+    assert len(series.snapshots) == steps // observe_every + 1
+
+
+def test_trapezoid_recurrence_conserves_mass_on_long_runs(variant_fields):
+    gen = ts.assemble(*variant_fields, ts.Grid(1024))
+    series = ts.evolve(gen, ts.steady_plus_mode(gen, 1, 0.01), T=10.0, dt=1e-3, observe_every=10)
+    assert np.abs(series.mass - series.mass[0]).max() <= 1e-12
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_observers_match_weighted_space(gen_variant_64, kind):
     gen = gen_variant_64

@@ -625,6 +625,28 @@ def test_semigroup_norms_match_direct_exponentials(gen_variant_64, monkeypatch, 
     np.testing.assert_allclose(report.norms, direct, rtol=1e-12, atol=0.0)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@benchmark_box(16, 32, 48)
+def test_dense_semigroup_norms_obey_the_certified_envelope(b1, a, b, c, sigma, n):
+    # Wei's theorem with H = -S0: eps bounds the symmetric part of S above,
+    # so ||exp(t S0)|| <= exp(-t (psi_hat - 2 eps) + pi/2) at every t. The
+    # dense propagator norms are the oracle, at times off any grid.
+    gen = box_generator(b1, a, b, c, sigma, n)
+    s = symmetrized(gen)
+    top = scipy.linalg.eigvalsh(0.5 * (s + s.T))[-1]
+    herm, allowance = ts.hermitian_abscissa(gen), ts.hermitian_allowance(gen)
+    assert abs(herm - top) <= allowance
+    eps = max(herm, 0.0) + allowance
+    assert eps >= top
+    rate = ts.psi_sweep(gen, coarse_points=16).psi_hat - 2.0 * eps
+    assert rate > 0.0
+    times = np.array([0.3, 1.7, 3.7, 8.0])
+    # A dummy estimate: only the norms are read here.
+    est = ts.PsiEstimate(np.zeros(16), np.ones(16), np.ones(16), 1.0, 0.0, 20.0, 20.0, 1)
+    norms = ts.semigroup_bound_check(gen, est, times).norms
+    assert (norms <= np.exp(-rate * times + 0.5 * np.pi)).all()
+
+
 def test_semigroup_t_grid_validation(gen_gt_64):
     est = ts.psi_sweep(gen_gt_64, lambda_max=20.0, coarse_points=16, refine_depth=5)
     with pytest.raises(ConfigurationError):

@@ -103,3 +103,37 @@ def test_argument_validation():
         ts.lemma_sweep(ts.FieldSpec.constant(1.0), 10.0, 1.0, 16)
     with pytest.raises(ConfigurationError):
         ts.lemma_sweep(ts.FieldSpec.constant(1.0), 1.0, 10.0, 4)
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        ts.FieldSpec.trigonometric(1.5, 0.5, 0.2),
+        # Collinear samples: the shape-preserving cubic is the line itself.
+        # Between kinked samples the cubic is only C^1, and the coarse
+        # grids of the low frequencies alone err by about 3e-8.
+        ts.FieldSpec.tabulated([0.0, 0.3, 0.7, 1.0], [0.5, 0.95, 1.55, 2.0]),
+    ],
+    ids=["trigonometric", "tabulated"],
+)
+def test_sweep_matches_per_frequency_integrals(psi):
+    # The sweep sums every frequency on the grid of the largest one; each
+    # value is the one-frequency integral on its own grid.
+    sweep = ts.lemma_sweep(psi, np.pi, 200.0 * np.pi, 17)
+    direct = np.array([ts.phase_integral(psi, lam) for lam in sweep.lambdas])
+    assert np.abs(sweep.values - direct).max() <= 1e-12
+    assert sweep.warnings == ()
+
+
+def test_sweep_notes_every_under_resolved_frequency(monkeypatch):
+    # With the grid capped at 200 subintervals, a slope of 1 resolves
+    # eight points per period up to lambda = 50 pi.
+    monkeypatch.setattr("twospeed.stationary_phase.MAX_SUBINTERVALS", 200)
+    one = ts.FieldSpec.constant(1.0)
+    sweep = ts.lemma_sweep(one, np.pi, 200.0 * np.pi, 16)
+    under = sweep.lambdas[np.ceil(8.0 * sweep.lambdas / (2.0 * np.pi)) > 200]
+    assert len(sweep.warnings) == len(under) > 0
+    for note, lam in zip(sweep.warnings, under):
+        assert note.startswith("oscillation grid capped at 200 subintervals") and f"{lam:.3g}" in note
+    with pytest.warns(RuntimeWarning, match="capped at 200"):
+        ts.phase_integral(one, under[0])
