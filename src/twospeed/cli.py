@@ -320,7 +320,7 @@ def load_config(path, out_override=None) -> RunConfig:
     )
     scheme = ev.get("scheme", "implicit-trapezoid")
     if scheme not in SCHEMES:
-        raise _fail("evolve.scheme", f"unknown scheme {scheme!r}")
+        raise _fail("evolve.scheme", f"unknown scheme {scheme!r}; expected one of: {', '.join(SCHEMES)}")
 
     snapshot_every = _get_number(ev, "snapshot_every", "evolve", default=0, integer=True, at_least=0)
     evolve_T = _get_number(ev, "T", "evolve", default=10.0, positive=True)

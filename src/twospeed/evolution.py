@@ -1,11 +1,9 @@
 """Time integration with mass, entropy and decay observers.
 
-The semigroup is advanced with one of two one-step schemes applied to
-the assembled sparse generator ``gen.operator``: an implicit trapezoid
-rule (the default; unconditionally stable, second order, and a
-contraction in the weighted metric because the generator is dissipative
-there) or the classical explicit fourth-order scheme under a CFL
-restriction.  The trapezoid rule factors ``I - (dt/2) A`` once with a
+The semigroup is advanced by the implicit trapezoid rule applied to the
+assembled sparse generator ``gen.operator``: unconditionally stable,
+second order, and a contraction in the weighted metric because the
+generator is dissipative there.  It factors ``I - (dt/2) A`` once with a
 sparse LU (SuperLU through ``scipy.sparse.linalg.splu``), so each step
 costs one pair of sparse triangular solves (the next right-hand side
 follows from the update without a product with ``A``; one product per
@@ -50,10 +48,7 @@ from .errors import (
 from .generator import GeneratorMatrix
 from .space import StateVector
 
-SCHEMES = ("implicit-trapezoid", "explicit-rk4")
-
-#: CFL number of the explicit scheme: ``dt * max_j |a_jj|`` may not exceed it.
-CFL_DEFAULT = 0.9
+SCHEMES = ("implicit-trapezoid",)
 
 #: Share of the usable observation times, at the end of the record,
 #: that :func:`estimate_decay` fits.
@@ -146,8 +141,7 @@ def evolve(
     ------
     ConfigurationError
         For a non-positive or non-finite ``T`` or ``dt``, a negative
-        ``snapshot_every``, an unknown scheme, or a CFL violation with
-        the explicit scheme.
+        ``snapshot_every``, or a scheme other than those in ``SCHEMES``.
     DivergenceError
         If the state or one of its observers stops being finite.
     """
@@ -167,20 +161,8 @@ def evolve(
     nsteps = step_count(T, dt)
 
     op = gen.operator
-    if scheme == "explicit-rk4":
-        # Every Gershgorin disk of A (by columns) is |z - a_jj| <= |a_jj|,
-        # so dt |a_jj| <= CFL_DEFAULT puts the spectrum of dt A in the disk
-        # |z + CFL_DEFAULT| <= CFL_DEFAULT, where the RK4 amplification
-        # factor is at most one.  The reaction rate enters through a_jj.
-        limit = CFL_DEFAULT / np.abs(op.diagonal()).max()
-        if dt > limit:
-            raise ConfigurationError(
-                f"explicit scheme violates the CFL bound: dt = {dt:.3e} > {limit:.3e}"
-            )
-        lu = None
-    else:
-        mminus = scipy.sparse.eye_array(gen.size, format="csc") - (0.5 * dt) * op
-        lu = scipy.sparse.linalg.splu(mminus)
+    mminus = scipy.sparse.eye_array(gen.size, format="csc") - (0.5 * dt) * op
+    lu = scipy.sparse.linalg.splu(mminus)
 
     complex_run = bool(np.any(p0.p1.imag) or np.any(p0.p2.imag))
     p = p0.stacked if complex_run else p0.stacked.real.copy()
@@ -206,34 +188,26 @@ def evolve(
             snapshots.append((step * dt, StateVector(x, p[:n].copy(), p[n:].copy())))
 
     record(0)
-    rhs = None if lu is None else dt * (op @ p)
+    rhs = dt * (op @ p)
     for step in range(1, nsteps + 1):
-        if scheme == "explicit-rk4":
-            k1 = op @ p
-            k2 = op @ (p + (0.5 * dt) * k1)
-            k3 = op @ (p + (0.5 * dt) * k2)
-            k4 = op @ (p + dt * k3)
-            p = p + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        # Increment form of the trapezoid step: solving for the update
+        # keeps the conserved mass functional clean of large-state
+        # roundoff over long runs.  The update d solves M d = rhs with
+        # rhs = dt A p and M = I - (dt/2) A, so dt A = 2 (I - M) gives
+        # the next right-hand side dt A (p + d) = 2 d - rhs without a
+        # product with A.
+        if complex_run:
+            sol = lu.solve(np.column_stack([rhs.real, rhs.imag]))
+            d = sol[:, 0] + 1j * sol[:, 1]
         else:
-            # Increment form of the trapezoid step: solving for the update
-            # keeps the conserved mass functional clean of large-state
-            # roundoff over long runs.  The update d solves M d = rhs with
-            # rhs = dt A p and M = I - (dt/2) A, so dt A = 2 (I - M) gives
-            # the next right-hand side dt A (p + d) = 2 d - rhs without a
-            # product with A.
-            if complex_run:
-                sol = lu.solve(np.column_stack([rhs.real, rhs.imag]))
-                d = sol[:, 0] + 1j * sol[:, 1]
-            else:
-                d = lu.solve(rhs)
-            p = p + d
-            rhs = 2.0 * d - rhs
+            d = lu.solve(rhs)
+        p = p + d
+        rhs = 2.0 * d - rhs
         if step % observe_every == 0 or step == nsteps:
             record(step)
-            if lu is not None:
-                # A fresh product at each record bounds the rounding that
-                # the recurrence can accumulate.
-                rhs = dt * (op @ p)
+            # A fresh product at each record bounds the rounding that
+            # the recurrence can accumulate.
+            rhs = dt * (op @ p)
 
     return TimeSeries(
         np.asarray(times),

@@ -202,11 +202,7 @@ def restricted_operator(gen: GeneratorMatrix):
     """Dense ``S_c = S + c z0 z0^T`` and its shift ``c = -3 beta``, ``beta`` = :func:`default_lambda_max`.
 
     ``c <= -beta`` keeps the block ``c`` out of the propagator norm of
-    :func:`semigroup_bound_check`, its one caller.  The factor 3 was
-    chosen for the dense ``sigma_min`` route that ``psi_sweep`` once took
-    below ``n = 32``, where ``|c| = 3 beta`` kept the block's singular
-    value out of ``sigma_min(S_c - i lambda)`` for ``|lambda| <= 2 beta``;
-    it stays so that the semigroup norms do not move.
+    :func:`semigroup_bound_check`, its one caller.
     """
     _check_cap(gen)
     c = -3.0 * default_lambda_max(gen)

@@ -89,6 +89,7 @@ def test_unknown_key_is_config_error(tmp_path):
     [
         ("spectral.refine_depth", "refine_depth: 25", "refine_depth: 0"),
         ("evolve.snapshot_every", "observe_every: 5", "observe_every: 5\n  snapshot_every: -5"),
+        ("evolve.scheme", "observe_every: 5", "observe_every: 5\n  scheme: explicit-rk4"),
         ("evolve.T", "T: 8.0", "T: .inf"),
         ("evolve.dt", "dt: 0.002", "dt: .nan"),
         ("evolve.dt", "dt: 0.002", "dt: 1.0e-320"),

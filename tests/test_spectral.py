@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twospeed as ts
@@ -92,6 +92,19 @@ def test_eigenvalue_error_is_first_order(gt_fields):
         rep = ts.spectrum(ts.assemble(*gt_fields, ts.Grid(n)))
         errs[n] = np.abs(rep.eigenvalues - target).min()
     assert errs[64] / errs[128] == pytest.approx(2.0, rel=0.15)
+
+
+@pytest.mark.parametrize("fields", ["gt_fields", "variant_fields"])
+def test_abscissa_and_psi_converge_at_first_order_in_h(fields, request):
+    # The observed order log2(d1 / d2) of three rungs n = 32, 64, 128 is
+    # an estimate of the scheme's order, not a proof of it: the upwind
+    # damping shifts both the abscissa and psi_hat by O(h).
+    rungs = [ts.assemble(*request.getfixturevalue(fields), ts.Grid(n)) for n in (32, 64, 128)]
+    abscissa = [ts.spectrum(gen).x0_abscissa for gen in rungs]
+    psi = [ts.psi_sweep(gen, coarse_points=16).psi_hat for gen in rungs]
+    for name, v in (("x0_abscissa", abscissa), ("psi_hat", psi)):
+        order = np.log2((v[0] - v[1]) / (v[1] - v[2]))
+        assert 0.8 <= order <= 1.2, (name, v)
 
 
 def test_similarity_preserves_spectrum(gen_variant_64):
@@ -301,6 +314,44 @@ def test_chord_certificate_matches_the_hamiltonian_oracle(b1, a, b, c, sigma, n)
     est = ts.psi_sweep(gen, coarse_points=16)
     assert len(hamiltonian_crossings(s0, est.psi_hat, gen.operator_scale())) == 0
     assert len(hamiltonian_crossings(s0, est.psi_hat * (1.0 + 2.0 * RANK_TOL), gen.operator_scale())) > 0
+
+
+def assert_certified_below_the_dense_minimum(gen):
+    # Slow reactions drive psi toward the rounding allowance: the sweep
+    # must then either certify a level that the dense sigma_min nowhere
+    # undercuts, or refuse with a typed error.
+    try:
+        est = ts.psi_sweep(gen, coarse_points=16)
+    except NumericalError:
+        return
+    s0 = mean_zero_operator(gen)
+    eye = np.eye(s0.shape[0])
+    assert est.psi_hat > 0.0
+    for lam in (est.argmin_lambda, *est.lambda_grid):
+        assert est.psi_hat <= scipy.linalg.svdvals(s0 - 1j * lam * eye)[-1], f"lambda = {lam}"
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    b1=st.floats(0.8, 1.2),
+    a=st.floats(-1.2, -0.8),
+    b=st.floats(0.2, 0.5),
+    c=st.floats(-0.2, 0.2),
+    u=st.floats(-4.0, 0.0),
+    n=st.sampled_from([32, 64]),
+)
+@example(b1=1.0, a=-1.0, b=0.4, c=0.0, u=-4.0, n=64)
+def test_slow_reactions_certify_below_the_dense_minimum_or_raise(b1, a, b, c, u, n):
+    assert_certified_below_the_dense_minimum(box_generator(b1, a, b, c, 10.0**u, n))
+
+
+@pytest.mark.parametrize("sigma", [3e-4, 1e-4])
+def test_slow_reactions_at_n_128_certify_below_the_dense_minimum_or_raise(variant_fields, sigma):
+    # At n = 128 the sweep certifies sigma = 3e-4 (psi_hat 6e-4) and
+    # refuses sigma = 1e-4, where the absolute LU allowance outgrows the
+    # relative RANK_TOL margin.
+    b1, b2, _ = variant_fields
+    assert_certified_below_the_dense_minimum(ts.assemble(b1, b2, ts.FieldSpec.constant(sigma), ts.Grid(128)))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
