@@ -3,12 +3,21 @@
 The semigroup is advanced by the implicit trapezoid rule applied to the
 assembled sparse generator ``gen.operator``: unconditionally stable,
 second order, and a contraction in the weighted metric because the
-generator is dissipative there.  It factors ``I - (dt/2) A`` once with a
-sparse LU (SuperLU through ``scipy.sparse.linalg.splu``), so each step
-costs one pair of sparse triangular solves (the next right-hand side
-follows from the update without a product with ``A``; one product per
-recorded step refreshes it), O(n) work and memory, and no dense
-``2n x 2n`` array is formed.
+generator is dissipative there.  The run keeps its state in
+:func:`twospeed.generator.fold_order`, where ``M = I - (dt/2) A`` is a
+band of half-width 4, and factors ``M`` once with LAPACK's band LU
+(``dgbtrf``).  Upwinding leaves every off-diagonal of ``A``
+non-negative and its columns sum to zero, so ``M`` is strictly
+diagonally dominant by columns for any ``dt > 0``, any sign of the
+speeds and any ``sigma >= 0``.  Partial pivoting then exchanges no rows
+and the growth factor is at most 2 (Golub & Van Loan, *Matrix
+Computations*, 3.4; Higham, *Accuracy and Stability of Numerical
+Algorithms*, 9.5); the factorization checks that it did.  So ``L`` and
+``U`` are two band triangles, and each step is one BLAS band solve
+(``dtbsv``) with each: O(n) work and memory, and no dense ``2n x 2n``
+array is formed.  The next right-hand side follows from the update
+without a product with ``A``; one product per recorded step refreshes
+it, and the state is put back in the stacked order only there.
 
 Observers recorded along the way, all in the metric induced by the
 generator's discrete steady state ``v``:
@@ -36,16 +45,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgbtrf
 
 from .errors import (
     ConfigurationError,
     DivergenceError,
     InsufficientDataError,
     NonuniformSamplingError,
+    NumericalError,
     ShapeError,
 )
-from .generator import GeneratorMatrix
+from .generator import GeneratorMatrix, fold_order, folded
 from .space import StateVector
 
 SCHEMES = ("implicit-trapezoid",)
@@ -116,6 +127,39 @@ def _observe(gen: GeneratorMatrix, stacked: np.ndarray):
     return mass, dev * dev, diss, dev
 
 
+def _trapezoid_factors(op: scipy.sparse.csc_array, dt: float):
+    """Band triangles of ``M = I - (dt/2) op`` for a banded ``op``.
+
+    Returns ``(kd, lower, upper)``: the half-width of ``M``, the unit lower
+    triangle ``L`` and the upper triangle ``U`` of ``M = L U``, each in
+    BLAS band storage with ``kd`` off-diagonals, ready for ``dtbsv``.
+
+    Raises
+    ------
+    NumericalError
+        If ``M`` is singular or the band LU exchanged a row, so that ``L``
+        and ``U`` alone do not factor ``M``.
+    """
+    m = op.shape[0]
+    coo = (scipy.sparse.eye_array(m, format="csc") - (0.5 * dt) * op).tocoo()
+    kd = int(np.abs(coo.row - coo.col).max(initial=0))
+    band = np.zeros((3 * kd + 1, m), order="F")
+    band[2 * kd + coo.row - coo.col, coo.col] = coo.data
+    lu, ipiv, info = dgbtrf(band, kd, kd, overwrite_ab=1)
+    if info > 0:
+        raise NumericalError(f"trapezoid matrix I - (dt/2) A is singular at pivot {info}")
+    if not np.array_equal(ipiv, np.arange(m)):
+        pivot = int(np.flatnonzero(ipiv != np.arange(m))[0])
+        raise NumericalError(
+            f"band LU of I - (dt/2) A exchanged rows at pivot {pivot}: "
+            "the generator is not diagonally dominant by columns"
+        )
+    # Without exchanges U keeps the kd superdiagonals of M, in rows
+    # kd..2kd of LAPACK's storage; the multipliers of L lie below U's
+    # diagonal row 2kd, which the unit-diagonal solve does not read.
+    return kd, np.asfortranarray(lu[2 * kd :]), np.asfortranarray(lu[kd : 2 * kd + 1])
+
+
 def step_count(T: float, dt: float) -> int:
     """Number of steps :func:`evolve` takes to reach ``T``: ``round(T / dt)``, at least one."""
     return max(1, int(round(T / dt)))
@@ -135,7 +179,10 @@ def evolve(
     Observations are taken at ``t = 0``, after every ``observe_every``
     steps, and at the final step.  The number of steps is
     ``round(T / dt)`` but at least one, so recorded times are exact
-    multiples of ``dt``.
+    multiples of ``dt``.  Each step solves ``M d = dt A p`` for the
+    update ``d``, with ``M = I - (dt/2) A``, by two band triangular
+    solves in fold order, one with each factor of ``M = L U`` (a complex
+    state solves its real and imaginary parts in turn).
 
     Raises
     ------
@@ -144,6 +191,9 @@ def evolve(
         ``snapshot_every``, or a scheme other than those in ``SCHEMES``.
     DivergenceError
         If the state or one of its observers stops being finite.
+    NumericalError
+        If ``M`` is singular or its band LU exchanged a row, which no
+        upwind generator allows; no step is taken.
     """
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ConfigurationError(f"time step must be positive and finite, got {dt!r}")
@@ -160,18 +210,24 @@ def evolve(
         raise ShapeError("initial state does not live on the generator's cell grid")
     nsteps = step_count(T, dt)
 
-    op = gen.operator
-    mminus = scipy.sparse.eye_array(gen.size, format="csc") - (0.5 * dt) * op
-    lu = scipy.sparse.linalg.splu(mminus)
+    order = fold_order(n)
+    op = folded(gen.operator, n)
+    kd, lower, upper = _trapezoid_factors(op, dt)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return dtbsv(kd, upper, dtbsv(kd, lower, rhs, lower=1, diag=1), overwrite_x=1)
 
     complex_run = bool(np.any(p0.p1.imag) or np.any(p0.p2.imag))
-    p = p0.stacked if complex_run else p0.stacked.real.copy()
+    # The state in fold order; records put it back in the stacked order.
+    q = (p0.stacked if complex_run else p0.stacked.real)[order]
+    stacked_at = np.argsort(order)
 
     x = gen.grid.centers()
     times, masses, entropies, dissipations, deviations = [], [], [], [], []
     snapshots = []
 
     def record(step: int) -> None:
+        p = q[stacked_at]
         # A finite state can still overflow the quadratic observers, and a
         # non-finite state makes the deviation non-finite.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -185,29 +241,28 @@ def evolve(
         dissipations.append(diss)
         deviations.append(dev)
         if snapshot_every and step % snapshot_every == 0:
-            snapshots.append((step * dt, StateVector(x, p[:n].copy(), p[n:].copy())))
+            snapshots.append((step * dt, StateVector(x, p[:n], p[n:])))
 
     record(0)
-    rhs = dt * (op @ p)
+    rhs = dt * (op @ q)
     for step in range(1, nsteps + 1):
         # Increment form of the trapezoid step: solving for the update
         # keeps the conserved mass functional clean of large-state
         # roundoff over long runs.  The update d solves M d = rhs with
-        # rhs = dt A p and M = I - (dt/2) A, so dt A = 2 (I - M) gives
-        # the next right-hand side dt A (p + d) = 2 d - rhs without a
+        # rhs = dt A q and M = I - (dt/2) A, so dt A = 2 (I - M) gives
+        # the next right-hand side dt A (q + d) = 2 d - rhs without a
         # product with A.
         if complex_run:
-            sol = lu.solve(np.column_stack([rhs.real, rhs.imag]))
-            d = sol[:, 0] + 1j * sol[:, 1]
+            d = solve(rhs.real) + 1j * solve(rhs.imag)
         else:
-            d = lu.solve(rhs)
-        p = p + d
+            d = solve(rhs)
+        q += d
         rhs = 2.0 * d - rhs
         if step % observe_every == 0 or step == nsteps:
             record(step)
             # A fresh product at each record bounds the rounding that
             # the recurrence can accumulate.
-            rhs = dt * (op @ p)
+            rhs = dt * (op @ q)
 
     return TimeSeries(
         np.asarray(times),

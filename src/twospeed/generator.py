@@ -416,6 +416,8 @@ def assemble(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, grid: Grid) -> Gene
 
     threshold = RANK_TOL * (max(np.abs(f1).max(), np.abs(f2).max()) + sg.max())
     lu, (s,) = bordered_sigma_min(folded(operator, n), np.full(m, 1.0 / np.sqrt(m)))([0.0], floor=threshold)
+    if lu is None:
+        raise DefectiveGeneratorError("kernel is not simple: the bordered matrix is exactly singular")
     if not s >= threshold:
         raise DefectiveGeneratorError(
             f"kernel is not simple: bordered sigma_min {s:.3e} < {threshold:.3e}"

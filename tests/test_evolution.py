@@ -1,17 +1,25 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import twospeed as ts
 from twospeed.errors import (
     ConfigurationError,
+    DefectiveGeneratorError,
     DivergenceError,
     InsufficientDataError,
     NonuniformSamplingError,
+    NumericalError,
+    PositivityError,
 )
-from twospeed.evolution import step_count
+from twospeed.evolution import _trapezoid_factors, step_count
+from twospeed.generator import fold_order, folded
 from twospeed.space import deflate_to_mean_zero, norm, total_mass
 
 
@@ -74,6 +82,58 @@ def test_implicit_step_matches_dense_trapezoid(variant_fields, kind):
     eye = np.eye(gen.size)
     ref = np.linalg.solve(eye - 0.5 * dt * gen.matrix, (eye + 0.5 * dt * gen.matrix) @ p0.stacked)
     assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+# Speeds a + b sin(2 pi x) + c cos(2 pi x) of one sign, changing sign or
+# vanishing; cross-sections constant (zero included) or zero on [0, 0.4].
+speed = st.tuples(st.floats(-1.5, 1.5), st.floats(0.0, 1.0), st.floats(-1.0, 1.0))
+cross_section = st.one_of(
+    st.floats(0.0, 2.0).map(ts.FieldSpec.constant),
+    st.floats(0.1, 2.0).map(lambda s: ts.FieldSpec.tabulated((0.0, 0.4, 0.7, 1.0), (0.0, 0.0, s, 0.0))),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(b1=speed, b2=speed, sigma=cross_section, log_dt=st.floats(np.log(1e-5), np.log(10.0)), n=st.integers(8, 48))
+def test_trapezoid_band_factor_exchanges_no_rows(b1, b2, sigma, log_dt, n):
+    # Upwinding makes M = I - (dt/2) A strictly diagonally dominant by
+    # columns for any speeds, sigma >= 0 and dt > 0, so the band LU in
+    # fold order needs no row exchange: L U is M itself, and one step
+    # matches the dense trapezoid.
+    try:
+        gen = ts.assemble(ts.FieldSpec.trigonometric(*b1), ts.FieldSpec.trigonometric(*b2), sigma, ts.Grid(n))
+    except (PositivityError, DefectiveGeneratorError):
+        # No simple positive steady state, so there is no generator to test.
+        assume(False)
+    dt = float(np.exp(log_dt))
+    kd, lower, upper = _trapezoid_factors(folded(gen.operator, n), dt)
+    m = gen.size
+    unit_lower = np.eye(m) + sum(np.diag(lower[k, : m - k], -k) for k in range(1, kd + 1))
+    band_upper = sum(np.diag(upper[kd - k, k:], k) for k in range(kd + 1))
+    order = fold_order(n)
+    eye, a = np.eye(m), gen.matrix
+    mminus = eye - 0.5 * dt * a
+    assert np.abs(unit_lower @ band_upper - mminus[np.ix_(order, order)]).max() <= 1e-14 * np.abs(mminus).max()
+    p0 = ts.steady_plus_mode(gen, 1, 0.05)
+    step = ts.evolve(gen, p0, T=dt, dt=dt, snapshot_every=1).snapshots[1][1].stacked
+    ref = np.linalg.solve(mminus, (eye + 0.5 * dt * a) @ p0.stacked)
+    assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("broken", ["row exchange", "singular"])
+def test_broken_operator_raises_before_stepping(gen_gt_64, broken):
+    # A large negative off-diagonal breaks column dominance, so the band
+    # LU must exchange rows; (2/dt) I makes M = 0. Either way evolve
+    # refuses to step.
+    dt = 0.5
+    if broken == "row exchange":
+        op = gen_gt_64.operator.copy()
+        op[64, 0] = -1e3
+    else:
+        op = scipy.sparse.csc_array((2.0 / dt) * scipy.sparse.eye_array(gen_gt_64.size))
+    gen = dataclasses.replace(gen_gt_64, operator=op)
+    with pytest.raises(NumericalError, match="exchanged rows" if broken == "row exchange" else "singular"):
+        ts.evolve(gen, ts.steady_plus_mode(gen, 1, 0.01), T=1.0, dt=dt)
 
 
 @pytest.mark.parametrize("observe_every", [1, 3, 7])

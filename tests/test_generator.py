@@ -231,6 +231,14 @@ def test_left_mass_functional_annihilates(gen_variant_128):
     assert np.abs(ones @ gen_variant_128.matrix).max() <= 1e-13 * gen_variant_128.operator_scale()
 
 
+def test_zero_fields_raise_a_defective_generator():
+    # A = 0: the bordered matrix is exactly singular and the kernel
+    # threshold is 0, so only the singular factor shows the defect.
+    zero = ts.FieldSpec.constant(0.0)
+    with pytest.raises(DefectiveGeneratorError, match="exactly singular"):
+        ts.assemble(zero, zero, zero, ts.Grid(8))
+
+
 def test_negative_cross_section_raises(gt_fields):
     b1, b2, _ = gt_fields
     with pytest.raises(InvalidCrossSectionError):
