@@ -6,18 +6,23 @@ second order, and a contraction in the weighted metric because the
 generator is dissipative there.  The run keeps its state in
 :func:`twospeed.generator.fold_order`, where ``M = I - (dt/2) A`` is a
 band of half-width 4, and factors ``M`` once with LAPACK's band LU
-(``dgbtrf``).  Upwinding leaves every off-diagonal of ``A``
-non-negative and its columns sum to zero, so ``M`` is strictly
-diagonally dominant by columns for any ``dt > 0``, any sign of the
-speeds and any ``sigma >= 0``.  Partial pivoting then exchanges no rows
-and the growth factor is at most 2 (Golub & Van Loan, *Matrix
-Computations*, 3.4; Higham, *Accuracy and Stability of Numerical
-Algorithms*, 9.5); the factorization checks that it did.  So ``L`` and
-``U`` are two band triangles, and each step is one BLAS band solve
-(``dtbsv``) with each: O(n) work and memory, and no dense ``2n x 2n``
-array is formed.  The next right-hand side follows from the update
-without a product with ``A``; one product per recorded step refreshes
-it, and the state is put back in the stacked order only there.
+(``dgbtrf``) as ``M = L D U'``: ``L`` and ``U' = D^{-1} U`` are unit
+band triangles and ``D`` holds the pivots.  Upwinding leaves every
+off-diagonal of ``A`` non-negative and its columns sum to zero, so ``M``
+is a Z-matrix whose columns each sum to exactly 1, for any ``dt > 0``,
+any sign of the speeds and any ``sigma >= 0``.  It is strictly
+diagonally dominant by columns, so partial pivoting exchanges no rows
+(Golub & Van Loan, *Matrix Computations*, 3.4), and each Schur
+complement is again a Z-matrix with column sums ``>= 1``, so every pivot
+is ``>= 1`` and scaling by ``1/D`` is benign (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 9); the factorization checks that
+it exchanged no row.  Each step is one BLAS band solve (``dtbsv``) with
+``L``, one scaling by ``1/D`` and one band solve with ``U'``: O(n) work
+and memory, and no dense ``2n x 2n`` array is formed.  With unit
+diagonals no column of a band solve waits on a division.  The next
+right-hand side follows from the update without a product with ``A``;
+one product per recorded step refreshes it, and the state is put back
+in the stacked order only there.
 
 Observers recorded along the way, all in the metric induced by the
 generator's discrete steady state ``v``:
@@ -109,36 +114,47 @@ def component_imbalance(gen: GeneratorMatrix, amplitude: float) -> StateVector:
     return gen.state((1.0 + amplitude) * gen.steady1, (1.0 - amplitude) * gen.steady2)
 
 
-def _observe(gen: GeneratorMatrix, stacked: np.ndarray):
-    """Mass, entropy, dissipation and deviation of a stacked state.
+def _observer(gen: GeneratorMatrix):
+    """Mass, entropy, dissipation and deviation of a state, as a function.
 
-    The deviation is ``norm(space, deflate_to_mean_zero(space, p))`` in
-    ``gen.space()``, whose quadrature weights all equal ``h``, computed
-    on the stacked vector without building states.
+    The returned function takes the stacked state as real columns, its
+    real part and, for a complex state, its imaginary part, and returns
+    ``(mass, entropy, dissipation, deviation)``.  The deviation is
+    ``norm(space, deflate_to_mean_zero(space, p))`` in ``gen.space()``,
+    whose quadrature weights all equal ``h``, computed without building
+    states.  The weights ``1 / v`` and ``h sigma (v_1 + v_2)`` are
+    computed once here, and each observation reduces by BLAS dots.
     """
-    n, h, steady = gen.grid.n, gen.grid.h, gen.steady
-    total = h * np.sum(stacked)
-    dev = float(np.sqrt(h * np.sum(np.abs(stacked - total * steady) ** 2 / steady)))
-    ratios = stacked / steady
-    diss = float(
-        h * np.sum(gen.sigma_cells * (steady[:n] + steady[n:]) * np.abs(ratios[:n] - ratios[n:]) ** 2)
-    )
-    mass = float(np.real(np.sum(stacked)) * h)
-    return mass, dev * dev, diss, dev
+    n, h = gen.grid.n, gen.grid.h
+    steady = gen.steady[:, None]
+    inverse = 1.0 / steady
+    coupling = h * gen.sigma_cells[:, None] * (steady[:n] + steady[n:])
+
+    def observe(p: np.ndarray):
+        total = h * p.sum(axis=0)
+        excess = p - total * steady
+        dev = float(np.sqrt(h * np.vdot(excess, inverse * excess)))
+        ratios = inverse * p
+        gap = ratios[:n] - ratios[n:]
+        return float(total[0]), dev * dev, float(np.vdot(gap, coupling * gap)), dev
+
+    return observe
 
 
 def _trapezoid_factors(op: scipy.sparse.csc_array, dt: float):
-    """Band triangles of ``M = I - (dt/2) op`` for a banded ``op``.
+    """Band factors of ``M = I - (dt/2) op = L D U'`` for a banded ``op``.
 
-    Returns ``(kd, lower, upper)``: the half-width of ``M``, the unit lower
-    triangle ``L`` and the upper triangle ``U`` of ``M = L U``, each in
-    BLAS band storage with ``kd`` off-diagonals, ready for ``dtbsv``.
+    Returns ``(kd, lower, pivots, upper)``: the half-width of ``M``, the
+    unit lower triangle ``L``, the pivots ``D`` of the band LU and the
+    unit upper triangle ``U' = D^{-1} U``, the triangles in BLAS band
+    storage with ``kd`` off-diagonals, ready for ``dtbsv`` with
+    ``diag=1``.
 
     Raises
     ------
     NumericalError
-        If ``M`` is singular or the band LU exchanged a row, so that ``L``
-        and ``U`` alone do not factor ``M``.
+        If ``M`` is singular or the band LU exchanged a row, so that ``L``,
+        ``D`` and ``U'`` alone do not factor ``M``.
     """
     m = op.shape[0]
     coo = (scipy.sparse.eye_array(m, format="csc") - (0.5 * dt) * op).tocoo()
@@ -154,10 +170,16 @@ def _trapezoid_factors(op: scipy.sparse.csc_array, dt: float):
             f"band LU of I - (dt/2) A exchanged rows at pivot {pivot}: "
             "the generator is not diagonally dominant by columns"
         )
-    # Without exchanges U keeps the kd superdiagonals of M, in rows
-    # kd..2kd of LAPACK's storage; the multipliers of L lie below U's
-    # diagonal row 2kd, which the unit-diagonal solve does not read.
-    return kd, np.asfortranarray(lu[2 * kd :]), np.asfortranarray(lu[kd : 2 * kd + 1])
+    # Without exchanges U keeps the kd superdiagonals of M: row 2kd - s
+    # of LAPACK's storage holds U[j - s, j] in column j, so row 2kd holds
+    # the pivots and the multipliers of L lie below it.  U' = D^{-1} U
+    # divides U[j - s, j] by pivot j - s.  The unit-diagonal solves read
+    # neither triangle's diagonal row.
+    pivots = lu[2 * kd].copy()
+    upper = np.asfortranarray(lu[kd : 2 * kd + 1])
+    for s in range(1, kd + 1):
+        upper[kd - s, s:] /= pivots[: m - s]
+    return kd, np.asfortranarray(lu[2 * kd :]), pivots, upper
 
 
 def step_count(T: float, dt: float) -> int:
@@ -180,9 +202,10 @@ def evolve(
     steps, and at the final step.  The number of steps is
     ``round(T / dt)`` but at least one, so recorded times are exact
     multiples of ``dt``.  Each step solves ``M d = dt A p`` for the
-    update ``d``, with ``M = I - (dt/2) A``, by two band triangular
-    solves in fold order, one with each factor of ``M = L U`` (a complex
-    state solves its real and imaginary parts in turn).
+    update ``d``, with ``M = I - (dt/2) A = L D U'``, in fold order: a
+    unit lower band solve with ``L``, a scaling by the pivots ``1/D``
+    and a unit upper band solve with ``U'`` (a complex state solves its
+    real and imaginary parts in turn).  Every pivot is at least 1.
 
     Raises
     ------
@@ -212,15 +235,20 @@ def evolve(
 
     order = fold_order(n)
     op = folded(gen.operator, n)
-    kd, lower, upper = _trapezoid_factors(op, dt)
+    kd, lower, pivots, upper = _trapezoid_factors(op, dt)
+    scale = 1.0 / pivots
+    observe = _observer(gen)
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return dtbsv(kd, upper, dtbsv(kd, lower, rhs, lower=1, diag=1), overwrite_x=1)
-
-    complex_run = bool(np.any(p0.p1.imag) or np.any(p0.p2.imag))
-    # The state in fold order; records put it back in the stacked order.
-    q = (p0.stacked if complex_run else p0.stacked.real)[order]
+    # The state in fold order, as real columns: its real part and, for
+    # complex data, its imaginary part.  Records put it back in the
+    # stacked order.
+    stacked = p0.stacked
+    complex_run = bool(np.any(stacked.imag))
+    parts = (stacked.real, stacked.imag) if complex_run else (stacked.real,)
+    q = np.asfortranarray(np.stack(parts, axis=1)[order])
     stacked_at = np.argsort(order)
+    rhs, d = np.empty_like(q), np.empty_like(q)
+    columns = list(d.T)
 
     x = gen.grid.centers()
     times, masses, entropies, dissipations, deviations = [], [], [], [], []
@@ -231,7 +259,7 @@ def evolve(
         # A finite state can still overflow the quadratic observers, and a
         # non-finite state makes the deviation non-finite.
         with np.errstate(over="ignore", invalid="ignore"):
-            observed = _observe(gen, p)
+            observed = observe(p)
         if not np.all(np.isfinite(observed)):
             raise DivergenceError(f"non-finite state or observer at step {step}")
         mass, ent, diss, dev = observed
@@ -241,28 +269,32 @@ def evolve(
         dissipations.append(diss)
         deviations.append(dev)
         if snapshot_every and step % snapshot_every == 0:
-            snapshots.append((step * dt, StateVector(x, p[:n], p[n:])))
+            state = p[:, 0] + 1j * p[:, 1] if complex_run else p[:, 0]
+            snapshots.append((step * dt, StateVector(x, state[:n], state[n:])))
 
     record(0)
-    rhs = dt * (op @ q)
+    np.multiply(dt, op @ q, out=rhs)
     for step in range(1, nsteps + 1):
         # Increment form of the trapezoid step: solving for the update
         # keeps the conserved mass functional clean of large-state
         # roundoff over long runs.  The update d solves M d = rhs with
         # rhs = dt A q and M = I - (dt/2) A, so dt A = 2 (I - M) gives
         # the next right-hand side dt A (q + d) = 2 d - rhs without a
-        # product with A.
-        if complex_run:
-            d = solve(rhs.real) + 1j * solve(rhs.imag)
-        else:
-            d = solve(rhs)
+        # product with A.  Every operation writes in place, and doubling
+        # d is exact, so 2 d - rhs rounds once.
+        np.copyto(d, rhs)
+        for column in columns:
+            dtbsv(kd, lower, column, lower=1, diag=1, overwrite_x=1)
+            column *= scale
+            dtbsv(kd, upper, column, diag=1, overwrite_x=1)
         q += d
-        rhs = 2.0 * d - rhs
+        d *= 2.0
+        np.subtract(d, rhs, out=rhs)
         if step % observe_every == 0 or step == nsteps:
             record(step)
             # A fresh product at each record bounds the rounding that
             # the recurrence can accumulate.
-            rhs = dt * (op @ q)
+            np.multiply(dt, op @ q, out=rhs)
 
     return TimeSeries(
         np.asarray(times),

@@ -96,24 +96,28 @@ cross_section = st.one_of(
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(b1=speed, b2=speed, sigma=cross_section, log_dt=st.floats(np.log(1e-5), np.log(10.0)), n=st.integers(8, 48))
 def test_trapezoid_band_factor_exchanges_no_rows(b1, b2, sigma, log_dt, n):
-    # Upwinding makes M = I - (dt/2) A strictly diagonally dominant by
-    # columns for any speeds, sigma >= 0 and dt > 0, so the band LU in
-    # fold order needs no row exchange: L U is M itself, and one step
-    # matches the dense trapezoid.
+    # Upwinding makes M = I - (dt/2) A a Z-matrix whose columns sum to 1
+    # for any speeds, sigma >= 0 and dt > 0. Each Schur complement is
+    # again one with column sums >= 1, so the band LU in fold order
+    # needs no row exchange and every pivot is >= 1: L diag(D) U' is M
+    # itself, and one step matches the dense trapezoid.
     try:
         gen = ts.assemble(ts.FieldSpec.trigonometric(*b1), ts.FieldSpec.trigonometric(*b2), sigma, ts.Grid(n))
     except (PositivityError, DefectiveGeneratorError):
         # No simple positive steady state, so there is no generator to test.
         assume(False)
     dt = float(np.exp(log_dt))
-    kd, lower, upper = _trapezoid_factors(folded(gen.operator, n), dt)
+    kd, lower, pivots, upper = _trapezoid_factors(folded(gen.operator, n), dt)
     m = gen.size
     unit_lower = np.eye(m) + sum(np.diag(lower[k, : m - k], -k) for k in range(1, kd + 1))
-    band_upper = sum(np.diag(upper[kd - k, k:], k) for k in range(kd + 1))
+    unit_upper = np.eye(m) + sum(np.diag(upper[kd - k, k:], k) for k in range(1, kd + 1))
     order = fold_order(n)
     eye, a = np.eye(m), gen.matrix
     mminus = eye - 0.5 * dt * a
-    assert np.abs(unit_lower @ band_upper - mminus[np.ix_(order, order)]).max() <= 1e-14 * np.abs(mminus).max()
+    scale = np.abs(mminus).max()
+    rebuilt = unit_lower @ np.diag(pivots) @ unit_upper
+    assert np.abs(rebuilt - mminus[np.ix_(order, order)]).max() <= 1e-14 * scale
+    assert pivots.min() >= 1.0 - 1e-14 * scale
     p0 = ts.steady_plus_mode(gen, 1, 0.05)
     step = ts.evolve(gen, p0, T=dt, dt=dt, snapshot_every=1).snapshots[1][1].stacked
     ref = np.linalg.solve(mminus, (eye + 0.5 * dt * a) @ p0.stacked)
@@ -157,9 +161,11 @@ def test_trapezoid_recurrence_matches_dense_steps(variant_fields, kind, observe_
     assert len(series.snapshots) == steps // observe_every + 1
 
 
-def test_trapezoid_recurrence_conserves_mass_on_long_runs(variant_fields):
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_trapezoid_recurrence_conserves_mass_on_long_runs(variant_fields, kind):
     gen = ts.assemble(*variant_fields, ts.Grid(1024))
-    series = ts.evolve(gen, ts.steady_plus_mode(gen, 1, 0.01), T=10.0, dt=1e-3, observe_every=10)
+    p0 = ts.steady_plus_mode(gen, 1, 0.01) if kind == "real" else _complex_mode(gen, 1, 0.01)
+    series = ts.evolve(gen, p0, T=10.0, dt=1e-3, observe_every=10)
     assert np.abs(series.mass - series.mass[0]).max() <= 1e-12
 
 
