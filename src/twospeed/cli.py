@@ -79,7 +79,6 @@ from .evolution import (
 from .space import StateVector
 from .spectral import (
     COARSE_POINTS,
-    MIN_COARSE_POINTS,
     REFINE_DEPTH,
     psi_sweep,
     spectrum,
@@ -379,7 +378,7 @@ def load_config(path, out_override=None) -> RunConfig:
         initial=_parse_initial(ev.get("initial"), "evolve.initial", base_dir),
         lambda_max=_get_number(sp, "lambda_max", "spectral", default=0.0, at_least=0),
         coarse_points=_get_number(
-            sp, "coarse_points", "spectral", default=COARSE_POINTS, integer=True, at_least=MIN_COARSE_POINTS
+            sp, "coarse_points", "spectral", default=COARSE_POINTS, integer=True, at_least=COARSE_POINTS
         ),
         refine_depth=_get_number(sp, "refine_depth", "spectral", default=REFINE_DEPTH, positive=True, integer=True),
         t_grid=tuple(t_vals),

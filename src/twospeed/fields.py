@@ -176,6 +176,15 @@ def evaluate(spec: FieldSpec, x):
     return out
 
 
+def cross_section(sigma: FieldSpec, xs: np.ndarray) -> np.ndarray:
+    """``sigma`` at ``xs``; a value below ``-DEGENERACY_FLOOR`` raises :class:`InvalidCrossSectionError`."""
+    sg = np.asarray(evaluate(sigma, xs))
+    if sg.min() < -DEGENERACY_FLOOR:
+        k = int(np.argmin(sg))
+        raise InvalidCrossSectionError(f"cross-section is negative: sigma({xs[k]:.6f}) = {sg[k]:.3e}")
+    return sg
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of one sampled admissibility check.
@@ -228,13 +237,7 @@ def _sampled_report(b1: FieldSpec, b2: FieldSpec, sigma=None) -> ValidationRepor
     if sigma is None:
         label, distinct = "|b1 - b2|", "indistinguishable fields"
     else:
-        sg = np.asarray(evaluate(sigma, xs))
-        if sg.min() < -DEGENERACY_FLOOR:
-            ix = int(np.argmin(sg))
-            raise InvalidCrossSectionError(
-                f"cross-section is negative: sigma({xs[ix]:.6f}) = {sg[ix]:.3e}"
-            )
-        quantity *= np.maximum(sg, 0.0)
+        quantity *= np.maximum(cross_section(sigma, xs), 0.0)
         label = "|b1 - b2|*sigma"
         distinct = "velocity difference and cross-section are never simultaneously non-zero"
 

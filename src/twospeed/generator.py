@@ -59,12 +59,11 @@ import scipy.sparse.linalg
 
 from .errors import (
     DefectiveGeneratorError,
-    InvalidCrossSectionError,
     NumericalError,
     PositivityError,
     ShapeError,
 )
-from .fields import DEGENERACY_FLOOR, FieldSpec, evaluate
+from .fields import FieldSpec, cross_section, evaluate
 from .space import StateVector, WeightedSpace
 
 #: Relative tolerance of the null space: the kernel is simple when the
@@ -389,13 +388,7 @@ def assemble(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, grid: Grid) -> Gene
     centers = grid.centers()
     f1 = np.asarray(evaluate(b1, faces))
     f2 = np.asarray(evaluate(b2, faces))
-    sg = np.asarray(evaluate(sigma, centers))
-    if sg.min() < -DEGENERACY_FLOOR:
-        k = int(np.argmin(sg))
-        raise InvalidCrossSectionError(
-            f"cross-section is negative at cell center {centers[k]:.6f}: {sg[k]:.3e}"
-        )
-    sg = np.maximum(sg, 0.0)
+    sg = np.maximum(cross_section(sigma, centers), 0.0)
 
     n = grid.n
     m = 2 * n

@@ -120,12 +120,9 @@ from .generator import (
 #: Hard cap on the dense eigen/SVD problem size (matrix side 2n).
 DENSE_CAP = 4096
 
-#: Defaults: the uniform first samples of the psi sweep and the cap on its rounds.
-COARSE_POINTS = 512
+#: Defaults: the psi sweep's first grid, the two ends of its range and its floor, and its round cap.
+COARSE_POINTS = 2
 REFINE_DEPTH = 40
-
-#: Fewest coarse sweep points :func:`psi_sweep` accepts.
-MIN_COARSE_POINTS = 16
 
 #: Unknowns per block-diagonal LU of :func:`sparse_sigma_min`: ``psi_sweep``
 #: passes ``max(1, SIGMA_MIN_BATCH_UNKNOWNS // (2n + 1))`` points at a
@@ -366,8 +363,12 @@ def psi_sweep(
     is the certified ``psi_hat``, a lower bound on all of R, and
     ``refinement_depth`` counts the rounds, this one included.  A round
     at the cap ``refine_depth`` that still finds such an interval raises
-    :class:`NumericalError`.  The range only places the first samples,
-    so the certificate does not depend on it beyond ``RANK_TOL``.
+    :class:`NumericalError`.  The range and the grid only place the first
+    samples, so the certificate does not depend on them beyond
+    ``RANK_TOL``.  The default grid, also the smallest accepted, is the
+    two ends of the range (:data:`COARSE_POINTS`), and the rounds place
+    every other sample where the chords need it; ``coarse_points = 512``
+    draws the curve in ``psi_sweep.csv``.
 
     Rounding.  Each computed ``phi_k`` is lowered by an allowance before
     it enters a chord.  A sample ``f_k`` errs by at most
@@ -400,8 +401,8 @@ def psi_sweep(
         lambda_max = beta
     if not (lambda_max > 0.0 and np.isfinite(lambda_max)):
         raise ConfigurationError(f"lambda_max must be positive and finite, got {lambda_max!r}")
-    if coarse_points < MIN_COARSE_POINTS:
-        raise ConfigurationError(f"coarse_points must be at least {MIN_COARSE_POINTS}")
+    if coarse_points < COARSE_POINTS:
+        raise ConfigurationError(f"coarse_points must be at least {COARSE_POINTS}")
     if refine_depth < 1:
         raise ConfigurationError("refine_depth must be at least 1")
 

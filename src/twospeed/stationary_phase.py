@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import FieldSpec, evaluate
 
 #: Minimum number of outer subintervals, read at call time.
 DEFAULT_BASE_POINTS = 64
@@ -70,8 +69,6 @@ class PhaseSweep:
 
 
 def _psi_values(psi, x: np.ndarray) -> np.ndarray:
-    if isinstance(psi, FieldSpec):
-        return np.asarray(evaluate(psi, x))
     return np.asarray(psi(x), dtype=float)
 
 

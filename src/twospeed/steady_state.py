@@ -50,7 +50,7 @@ from .errors import (
     PositivityError,
     ShapeError,
 )
-from .fields import DEGENERACY_FLOOR, FieldSpec, evaluate
+from .fields import DEGENERACY_FLOOR, FieldSpec, cross_section, evaluate
 from .quadrature import trapezoid_weights
 
 #: Simpson steps across ``[0, x]`` in :func:`fundamental_matrix`, and
@@ -112,7 +112,7 @@ def _lattice(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, x: float, steps: in
             f"velocity field reaches |b| = {small:.3e} on the integration path "
             f"(floor {DEGENERACY_FLOOR:.1e})"
         )
-    sg = np.asarray(evaluate(sigma, xs))
+    sg = cross_section(sigma, xs)
     g = np.array([sg / v2, sg / v1])
     a = g[0] + g[1]
     h = x / steps
@@ -163,6 +163,8 @@ def fundamental_matrix(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, x: float)
     DegenerateFieldError
         If a velocity field drops below ``DEGENERACY_FLOOR`` anywhere on
         the path.
+    InvalidCrossSectionError
+        If ``sigma`` falls below ``-DEGENERACY_FLOOR`` anywhere on the path.
     DomainError
         If ``x`` lies outside ``[0, 1]``.
     NumericalError
@@ -191,11 +193,15 @@ def solve_steady(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, n: int) -> Stea
 
     Raises
     ------
+    InvalidCrossSectionError
+        If ``sigma`` falls below ``-DEGENERACY_FLOOR`` at a lattice point,
+        as :func:`twospeed.generator.assemble` checks at cell centres.
     NonUniqueSteadyStateError
         If every flux vanishes (``sigma = 0`` identically): then every
         constant flux pair is periodic.
     PositivityError
-        If the recovered profile changes sign (a sign-changing ``sigma``).
+        If the recovered profile changes sign (a velocity field that
+        changes sign between lattice points).
     NumericalError
         If the profile spans more than the double range.
     """

@@ -180,7 +180,7 @@ def test_criterion_4_entropy_identity(gt_fields):
 def test_criterion_5_consistency_triangle(variant_fields):
     start = time.perf_counter()
     gen = ts.assemble(*variant_fields, ts.Grid(256))
-    psi = ts.psi_sweep(gen)  # spec defaults: 512 coarse points, depth 40
+    psi = ts.psi_sweep(gen)  # defaults: the two ends of [0, lambda_max], depth 40
     rep = ts.spectrum(gen)
     series = ts.evolve(
         gen, ts.steady_plus_mode(gen, 1, 0.01), T=10.0, dt=1e-3, observe_every=10

@@ -96,7 +96,8 @@ def test_unknown_key_is_config_error(tmp_path):
         ("spectral.t_grid[2]", "t_grid: [0.5, 1.0, 2.0]", "t_grid: [0.5, 1.0, .inf]"),
         ("fields.sigma.value", "grid:", "  sigma: {kind: constant, value: .inf}\ngrid:"),
         ("fields.sigma", "grid:", "  sigma: {kind: tabulated, x: [0.0, 1.0], v: [1.0, .nan]}\ngrid:"),
-        ("spectral.coarse_points", "coarse_points: 96", "coarse_points: 8"),
+        ("spectral.coarse_points", "coarse_points: 96", "coarse_points: 1"),
+        ("spectral.coarse_points", "coarse_points: 96", "coarse_points: 0"),
         ("spectral.lambda_max", "refine_depth: 25", "refine_depth: 25\n  lambda_max: -1.0"),
         ("lemma.points", "points: 16", "points: 4"),
     ],
@@ -108,6 +109,13 @@ def test_out_of_range_setting_is_config_error(tmp_path, capsys, setting, old, ne
     assert setting in capsys.readouterr().err
     # Rejected while loading the config, before any stage writes output.
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_coarse_points_floor_is_the_two_ends(tmp_path):
+    # The floor is the default: the two ends of [0, lambda_max].
+    path = tmp_path / "ends.yaml"
+    path.write_text(GT_CONFIG.format(out=tmp_path / "out").replace("coarse_points: 96", "coarse_points: 2"))
+    assert load_config(path).coarse_points == 2 == ts.spectral.COARSE_POINTS
 
 
 @pytest.mark.parametrize(

@@ -623,10 +623,26 @@ def test_psi_sweep_workers_leave_the_parent_buffers_alone():
 def test_psi_sweep_validates_arguments(gen_gt_64):
     with pytest.raises(ConfigurationError):
         ts.psi_sweep(gen_gt_64, lambda_max=-1.0)
-    with pytest.raises(ConfigurationError):
-        ts.psi_sweep(gen_gt_64, coarse_points=8)
+    # The floor is the two ends of the range. With no point the grid is
+    # empty, and L would be paired with the sample f(0) taken at 0.
+    for points in (0, 1):
+        with pytest.raises(ConfigurationError, match="coarse_points must be at least 2"):
+            ts.psi_sweep(gen_gt_64, coarse_points=points)
     with pytest.raises(ConfigurationError):
         ts.psi_sweep(gen_gt_64, refine_depth=0)
+
+
+@pytest.mark.parametrize("fixture", ["gen_gt_64", "gen_gt_128", "gen_variant_64", "gen_variant_128"])
+def test_psi_sweep_from_the_two_ends_certifies_the_512_point_gap(fixture, request):
+    # The chords are global from any first grid: the two ends of the
+    # range certify the gap of 512 uniform points within RANK_TOL, and
+    # the rounds place few samples.
+    gen = request.getfixturevalue(fixture)
+    ends = ts.psi_sweep(gen)
+    dense = ts.psi_sweep(gen, coarse_points=512)
+    assert ends.lambda_grid[0] == 0.0 and ends.lambda_grid[-1] == dense.lambda_grid[-1]
+    assert ends.psi_hat == pytest.approx(dense.psi_hat, rel=RANK_TOL)
+    assert len(ends.lambda_grid) <= 40
 
 
 @pytest.mark.parametrize("lambda_max", [np.nan, np.inf], ids=["nan", "inf"])

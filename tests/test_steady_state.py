@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import twospeed as ts
-from twospeed.errors import DegenerateFieldError, NonUniqueSteadyStateError, NumericalError
+from twospeed.errors import (
+    DegenerateFieldError,
+    InvalidCrossSectionError,
+    NonUniqueSteadyStateError,
+    NumericalError,
+)
 from twospeed.quadrature import trapezoid_weights
 from twospeed.steady_state import DEFAULT_STEPS
 
@@ -51,6 +56,30 @@ def test_degenerate_field_raises():
     b2 = ts.FieldSpec.constant(1.0)
     with pytest.raises(DegenerateFieldError):
         ts.fundamental_matrix(b1, b2, ts.FieldSpec.constant(1.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        ts.FieldSpec.trigonometric(0.0, 1.0),
+        ts.FieldSpec.trigonometric(0.5, 1.0),
+        ts.FieldSpec.constant(-1.0e-3),
+    ],
+    ids=["mean-zero", "sign-changing", "negative"],
+)
+@pytest.mark.parametrize("n", [32, 64])
+def test_negative_cross_section_raises(gt_fields, sigma, n):
+    # The rule of assemble's cell centres holds on the steady lattice. A
+    # mean-zero sigma makes every periodic flux pair a solution, so the
+    # normalised fluxes would be rounding noise (residual 8.3 at n = 32);
+    # the other two fields have no physical steady state.
+    b1, b2, _ = gt_fields
+    with pytest.raises(InvalidCrossSectionError, match="negative"):
+        ts.solve_steady(b1, b2, sigma, n)
+    with pytest.raises(InvalidCrossSectionError, match="negative"):
+        ts.fundamental_matrix(b1, b2, sigma, 1.0)
+    with pytest.raises(InvalidCrossSectionError):
+        ts.assemble(b1, b2, sigma, ts.Grid(n))
 
 
 def test_stiff_coupling_raises_numerical_error(variant_fields):
