@@ -51,7 +51,6 @@ from .generator import (
     assemble,
     dissipativity_check,
     hermitian_abscissa,
-    hermitian_allowance,
     symmetrized,
 )
 from .evolution import (

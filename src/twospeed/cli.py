@@ -23,8 +23,8 @@ Subcommands
     call ``os.nice(19)``, so they take the CPU that the rest of the
     report leaves idle (the spectrum, and the serial parts of the psi
     sweep) rather than slow the psi sweep's ``sigma_min`` batches, which
-    are on the critical path.  Once psi is done the caller computes the
-    Hermitian abscissa while the children finish.  Each
+    are on the critical path.  Once psi is done the caller bounds the
+    Hermitian abscissa, an O(nnz) certificate, while the children finish.  Each
     child writes its CSVs itself and pipes back its stage result.
     Errors keep the order of a serial run (steady, spectrum, psi,
     Hermitian abscissa, lemma, evolve): a failure in the caller kills the
@@ -66,7 +66,7 @@ from . import __version__
 from .errors import ConfigurationError, TwoSpeedError
 from .fields import FieldSpec, validate_cross_section_overlap, validate_transport_fields
 from .forking import _fork_map
-from .generator import Grid, assemble, hermitian_abscissa, hermitian_allowance
+from .generator import Grid, assemble, hermitian_abscissa
 from .evolution import (
     SCHEMES,
     component_imbalance,
@@ -653,10 +653,9 @@ def cmd_report(cfg: RunConfig, args) -> int:
     Gearhart-Pruss theorem (Sci. China Math. 64 (2021) 507-518): for an
     m-accretive ``H``, ``||exp(-t H)|| <= exp(-t Psi(H) + pi/2)`` at every
     ``t >= 0``.  With ``H = -S0``, ``Psi(H)`` is the gap that the psi
-    stage bounds below by ``psi_hat``.  ``eps``, the Hermitian abscissa
-    (at least 0) plus its rounding allowance
-    (:func:`twospeed.generator.hermitian_allowance`), bounds the
-    symmetric part of ``S`` above, so ``H + eps`` is accretive and
+    stage bounds below by ``psi_hat``.  ``eps``, the certified upper
+    bound of :func:`twospeed.generator.hermitian_abscissa` (at least 0),
+    bounds the symmetric part of ``S`` above, so ``H + eps`` is accretive and
     ``Psi(H + eps) >= psi_hat - eps``.  Hence
     ``||exp(t S0)|| <= exp(-t (psi_hat - 2 eps) + pi/2)`` for every ``t``:
     ``envelope.semigroup_bound`` lists it at the ``t_grid`` times, the
@@ -693,7 +692,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         raise fit_error
     evolved = sections.pop("evolve")
 
-    eps = max(herm, 0.0) + hermitian_allowance(gen)
+    eps = max(herm, 0.0)
     rate = est.psi_hat - 2.0 * eps
     # The bound overflows to inf only for a negative rate, which fails ``accretive``.
     with np.errstate(over="ignore"):

@@ -102,16 +102,23 @@ def _lattice(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, x: float, steps: in
     the ``2 * steps + 1`` half-step points, ``step[k]`` is the Simpson
     increment of ``A`` over step ``k`` and ``half[k]`` its increment to
     the step's midpoint, the integral of ``a``'s quadratic interpolant.
+    A velocity field whose samples fall below ``DEGENERACY_FLOOR`` in
+    modulus or take both signs raises :class:`DegenerateFieldError`
+    naming it: a sign change between two samples is a zero of the field
+    that the samples step over.
     """
     xs = np.linspace(0.0, x, 2 * steps + 1)
     v1 = np.asarray(evaluate(b1, xs))
     v2 = np.asarray(evaluate(b2, xs))
-    small = min(np.abs(v1).min(), np.abs(v2).min())
-    if small < DEGENERACY_FLOOR:
-        raise DegenerateFieldError(
-            f"velocity field reaches |b| = {small:.3e} on the integration path "
-            f"(floor {DEGENERACY_FLOOR:.1e})"
-        )
+    for name, v in (("b1", v1), ("b2", v2)):
+        small = np.abs(v).min()
+        if small < DEGENERACY_FLOOR:
+            raise DegenerateFieldError(
+                f"velocity field {name} reaches |b| = {small:.3e} on the integration path "
+                f"(floor {DEGENERACY_FLOOR:.1e})"
+            )
+        if v.min() < 0.0 < v.max():
+            raise DegenerateFieldError(f"velocity field {name} changes sign on the integration path")
     sg = cross_section(sigma, xs)
     g = np.array([sg / v2, sg / v1])
     a = g[0] + g[1]
@@ -161,8 +168,8 @@ def fundamental_matrix(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, x: float)
     Raises
     ------
     DegenerateFieldError
-        If a velocity field drops below ``DEGENERACY_FLOOR`` anywhere on
-        the path.
+        If a velocity field drops below ``DEGENERACY_FLOOR`` or takes
+        both signs at the lattice points of the path.
     InvalidCrossSectionError
         If ``sigma`` falls below ``-DEGENERACY_FLOOR`` anywhere on the path.
     DomainError
@@ -193,6 +200,10 @@ def solve_steady(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, n: int) -> Stea
 
     Raises
     ------
+    DegenerateFieldError
+        If a velocity field drops below ``DEGENERACY_FLOOR`` or takes
+        both signs at the lattice points, where the profile would change
+        sign.
     InvalidCrossSectionError
         If ``sigma`` falls below ``-DEGENERACY_FLOOR`` at a lattice point,
         as :func:`twospeed.generator.assemble` checks at cell centres.
@@ -200,8 +211,7 @@ def solve_steady(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, n: int) -> Stea
         If every flux vanishes (``sigma = 0`` identically): then every
         constant flux pair is periodic.
     PositivityError
-        If the recovered profile changes sign (a velocity field that
-        changes sign between lattice points).
+        If the recovered profile is negative at a node.
     NumericalError
         If the profile spans more than the double range.
     """

@@ -58,6 +58,18 @@ def test_degenerate_field_raises():
         ts.fundamental_matrix(b1, b2, ts.FieldSpec.constant(1.0), 1.0)
 
 
+def test_sign_changing_field_raises():
+    # 0.3 + sin(2 pi x) changes sign between lattice points without
+    # coming within the floor of 0 at any of them; the profile would
+    # change sign with it.
+    wave, left, sigma = ts.FieldSpec.trigonometric(0.3, 1.0), ts.FieldSpec.constant(-1.0), ts.FieldSpec.constant(1.0)
+    for b1, b2, name in ((wave, left, "b1"), (left, wave, "b2")):
+        with pytest.raises(DegenerateFieldError, match=f"{name} changes sign"):
+            ts.solve_steady(b1, b2, sigma, 32)
+        with pytest.raises(DegenerateFieldError, match=f"{name} changes sign"):
+            ts.fundamental_matrix(b1, b2, sigma, 1.0)
+
+
 @pytest.mark.parametrize(
     "sigma",
     [
