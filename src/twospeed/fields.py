@@ -29,24 +29,26 @@ The module also houses the admissibility checks used by every driver:
 both velocity fields must stay away from zero with a fixed sign and
 differ somewhere on the interval; with a variable cross-section, the
 velocity difference and the cross-section must additionally be non-zero
-at a common point.  The checks sample a declared grid resolution and
-report quantitative margins instead of raising, so that deliberately
-degenerate experiments remain expressible.
+at a common point.  Sign, ``min |b_i|`` and ``sigma >= 0`` hold for
+every ``x`` by each kind's closed-form range (:func:`field_range`); the
+overlap is sampled, where a sample is a valid witness.  Margins are
+reported, not raised, so degenerate experiments remain expressible.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidCrossSectionError
 
-#: Margin below which a sampled quantity counts as degenerate (zero).
+#: Margin at or below which a quantity counts as degenerate (zero).
 DEGENERACY_FLOOR = 1e-10
 
-#: Number of sample points for the admissibility checks, read at call time.
+#: Number of sample points for the overlap witness, read at call time.
 DEFAULT_SAMPLES = 4097
 
 _KINDS = ("constant", "affine", "trigonometric", "tabulated")
@@ -176,29 +178,60 @@ def evaluate(spec: FieldSpec, x):
     return out
 
 
+def field_range(spec: FieldSpec) -> tuple:
+    """Closed-form ``(min, max)`` of ``spec`` over ``[0, 1]``, exact up to rounding.
+
+    ``[0, 1]`` is one full period of a trigonometric field, and the
+    monotone cubic of a tabulated field stays between the values at the
+    ends of each knot interval (Fritsch & Carlson, SIAM J. Numer. Anal.
+    17 (1980) 238-246), so its range is that of the knot values.
+    """
+    if spec.kind == "tabulated":
+        return min(spec.table[1]), max(spec.table[1])
+    if spec.kind == "trigonometric":
+        a, b, c = spec.coeffs
+        return a - math.hypot(b, c), a + math.hypot(b, c)
+    ends = spec.coeffs[0], sum(spec.coeffs)  # a constant's value twice, or an affine a and a + b
+    return min(ends), max(ends)
+
+
+def speed_defect(name: str, b: FieldSpec):
+    """Why velocity field ``b`` (called ``name``) is inadmissible on ``[0, 1]``, or ``None``.
+
+    From :func:`field_range`: ``b`` must keep one sign and stay above
+    ``DEGENERACY_FLOOR`` in modulus for every ``x``.
+    """
+    lo, hi = field_range(b)
+    if lo < 0.0 < hi:
+        return f"{name} changes sign on [0, 1]"
+    small = max(lo, -hi)
+    if small <= DEGENERACY_FLOOR:
+        return f"{name} reaches |b| = {small:.3e} (floor {DEGENERACY_FLOOR:.1e})"
+    return None
+
+
 def cross_section(sigma: FieldSpec, xs: np.ndarray) -> np.ndarray:
-    """``sigma`` at ``xs``; a value below ``-DEGENERACY_FLOOR`` raises :class:`InvalidCrossSectionError`."""
-    sg = np.asarray(evaluate(sigma, xs))
-    if sg.min() < -DEGENERACY_FLOOR:
-        k = int(np.argmin(sg))
-        raise InvalidCrossSectionError(f"cross-section is negative: sigma({xs[k]:.6f}) = {sg[k]:.3e}")
-    return sg
+    """``sigma`` at ``xs``; :class:`InvalidCrossSectionError` if its range falls below ``-DEGENERACY_FLOOR``."""
+    low = field_range(sigma)[0]
+    if low < -DEGENERACY_FLOOR:
+        raise InvalidCrossSectionError(f"cross-section is negative: min sigma = {low:.3e} on [0, 1]")
+    return np.asarray(evaluate(sigma, xs))
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of one sampled admissibility check.
+    """Outcome of one admissibility check.
 
     Attributes
     ----------
     passed:
-        Whether the quantitative criterion in ``detail`` holds at the
-        sampled resolution.
+        Whether the quantitative criterion in ``detail`` holds.
     min_abs_value:
-        Smallest ``|b_i|`` seen over the sample grid (degeneracy margin).
+        ``min |b_i|`` over ``[0, 1]`` and both fields, from
+        :func:`field_range` (0 when a field changes sign).
     sign:
-        ``+1`` if every checked velocity sample is positive, ``-1`` if
-        every sample is negative, ``0`` when signs differ across or
+        ``+1`` if both velocity fields are positive on ``[0, 1]``,
+        ``-1`` if both are negative, ``0`` when signs differ across or
         within the fields.
     witness_x:
         Sample coordinate where the distinguishing quantity (the
@@ -215,25 +248,11 @@ class ValidationReport:
     detail: str
 
 
-def _sign_class(values: np.ndarray) -> int:
-    if np.all(values > DEGENERACY_FLOOR):
-        return 1
-    if np.all(values < -DEGENERACY_FLOOR):
-        return -1
-    return 0
-
-
 def _sampled_report(b1: FieldSpec, b2: FieldSpec, sigma=None) -> ValidationReport:
-    """Verdict on ``b1``, ``b2`` over ``DEFAULT_SAMPLES`` uniform points.
-
-    The distinguishing quantity is ``|b1 - b2|``, weighted by the
-    clipped ``sigma`` when one is given.
-    """
+    """Verdict on the speeds by their ranges and on ``|b1 - b2|``, times the clipped ``sigma``, by samples."""
     samples = DEFAULT_SAMPLES
     xs = np.linspace(0.0, 1.0, samples)
-    v1 = np.asarray(evaluate(b1, xs))
-    v2 = np.asarray(evaluate(b2, xs))
-    quantity = np.abs(v1 - v2)
+    quantity = np.abs(evaluate(b1, xs) - evaluate(b2, xs))
     if sigma is None:
         label, distinct = "|b1 - b2|", "indistinguishable fields"
     else:
@@ -241,37 +260,28 @@ def _sampled_report(b1: FieldSpec, b2: FieldSpec, sigma=None) -> ValidationRepor
         label = "|b1 - b2|*sigma"
         distinct = "velocity difference and cross-section are never simultaneously non-zero"
 
-    s1 = _sign_class(v1)
-    s2 = _sign_class(v2)
-    min_abs = float(min(np.abs(v1).min(), np.abs(v2).min()))
+    ranges = field_range(b1), field_range(b2)
+    min_abs = min(max(0.0, lo, -hi) for lo, hi in ranges)
+    s1, s2 = (int(lo > 0.0) - int(hi < 0.0) for lo, hi in ranges)
     iw = int(np.argmax(quantity))
     top = float(quantity[iw])
 
-    problems = []
-    if s1 == 0 or s2 == 0 or min_abs <= DEGENERACY_FLOOR:
-        problems.append(f"degenerate velocity: min |b_i| = {min_abs:.3e} (floor {DEGENERACY_FLOOR:.1e})")
+    problems = [f"degenerate velocity: {d}" for d in (speed_defect("b1", b1), speed_defect("b2", b2)) if d]
     if top <= DEGENERACY_FLOOR:
-        problems.append(f"{distinct}: max {label} = {top:.3e}")
-
-    passed = not problems
-    if passed:
-        detail = (
-            f"min |b_i| = {min_abs:.6e}, max {label} = {top:.6e} at x = {xs[iw]:.6f} "
-            f"(floor {DEGENERACY_FLOOR:.1e}, {samples} samples)"
-        )
-    else:
-        detail = "; ".join(problems) + f" ({samples} samples)"
-    sign = s1 if s1 == s2 else 0
-    return ValidationReport(passed, min_abs, sign, float(xs[iw]), detail)
+        problems.append(f"{distinct}: max {label} = {top:.3e} ({samples} samples)")
+    detail = "; ".join(problems) or (
+        f"min |b_i| = {min_abs:.6e}, max {label} = {top:.6e} at x = {xs[iw]:.6f} "
+        f"(floor {DEGENERACY_FLOOR:.1e}, {samples} samples)"
+    )
+    return ValidationReport(not problems, min_abs, s1 if s1 == s2 else 0, float(xs[iw]), detail)
 
 
 def validate_transport_fields(b1: FieldSpec, b2: FieldSpec) -> ValidationReport:
     """Check that both velocity fields are non-degenerate and distinct.
 
-    Passes iff, over a uniform grid of ``DEFAULT_SAMPLES`` points, each
-    field is single-signed with ``min |b_i|`` above ``DEGENERACY_FLOOR``
-    and the two fields differ by more than ``DEGENERACY_FLOOR``
-    somewhere.  Failure is reported, not raised.
+    Passes iff :func:`speed_defect` finds no fault in either field and
+    they differ by more than ``DEGENERACY_FLOOR`` at one of
+    ``DEFAULT_SAMPLES`` uniform points.  Failure is reported, not raised.
     """
     return _sampled_report(b1, b2)
 
@@ -279,15 +289,15 @@ def validate_transport_fields(b1: FieldSpec, b2: FieldSpec) -> ValidationReport:
 def validate_cross_section_overlap(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec) -> ValidationReport:
     """Check admissibility with a variable reaction cross-section.
 
-    Passes iff, over a uniform grid of ``DEFAULT_SAMPLES`` points, both
-    velocities are non-degenerate and single-signed, the cross-section
-    is non-negative, and the product ``|b1 - b2| * sigma`` exceeds
-    ``DEGENERACY_FLOOR`` at some common sample point, i.e. the fields
-    are distinguishable *where collisions happen*.
+    Passes iff both velocities pass :func:`validate_transport_fields`'s
+    range test, the cross-section is non-negative, and the product
+    ``|b1 - b2| * sigma`` exceeds ``DEGENERACY_FLOOR`` at one of
+    ``DEFAULT_SAMPLES`` uniform points, i.e. the fields are
+    distinguishable *where collisions happen*.
 
     Raises
     ------
     InvalidCrossSectionError
-        If ``sigma`` falls below ``-DEGENERACY_FLOOR`` at any sample.
+        If ``sigma`` falls below ``-DEGENERACY_FLOOR`` anywhere on ``[0, 1]``.
     """
     return _sampled_report(b1, b2, sigma)

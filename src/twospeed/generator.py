@@ -363,14 +363,14 @@ def assemble(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, grid: Grid) -> Gene
     """Assemble the upwind generator and its discrete steady state.
 
     Admissibility of the velocity fields is not enforced here (the CLI
-    gates on it; the library allows deliberately degenerate studies),
-    but the cross-section must be non-negative at the cell centers and
-    the null space must be simple and positive.
+    gates on it; the library allows deliberately degenerate studies,
+    sign-changing speeds among them), but ``sigma`` must be non-negative
+    on ``[0, 1]`` and the null space simple and positive.
 
     Raises
     ------
     InvalidCrossSectionError
-        If ``sigma`` is negative beyond ``DEGENERACY_FLOOR`` at a cell center.
+        If ``sigma``'s closed-form range falls below ``-DEGENERACY_FLOOR``.
     DefectiveGeneratorError
         If the bordered matrix ``[[A, u], [u^T, 0]]`` is exactly singular
         or its ``sigma_min`` (see :func:`bordered_sigma_min`), or a

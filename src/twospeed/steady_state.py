@@ -50,7 +50,7 @@ from .errors import (
     PositivityError,
     ShapeError,
 )
-from .fields import DEGENERACY_FLOOR, FieldSpec, cross_section, evaluate
+from .fields import FieldSpec, cross_section, evaluate, speed_defect
 from .quadrature import trapezoid_weights
 
 #: Simpson steps across ``[0, x]`` in :func:`fundamental_matrix`, and
@@ -102,25 +102,15 @@ def _lattice(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, x: float, steps: in
     the ``2 * steps + 1`` half-step points, ``step[k]`` is the Simpson
     increment of ``A`` over step ``k`` and ``half[k]`` its increment to
     the step's midpoint, the integral of ``a``'s quadratic interpolant.
-    A velocity field whose samples fall below ``DEGENERACY_FLOOR`` in
-    modulus or take both signs raises :class:`DegenerateFieldError`
-    naming it: a sign change between two samples is a zero of the field
-    that the samples step over.
+    A velocity field that :func:`twospeed.fields.speed_defect` rejects
+    raises :class:`DegenerateFieldError` naming it, whatever ``x``.
     """
+    for defect in (speed_defect("b1", b1), speed_defect("b2", b2)):
+        if defect:
+            raise DegenerateFieldError(f"velocity field {defect}")
     xs = np.linspace(0.0, x, 2 * steps + 1)
-    v1 = np.asarray(evaluate(b1, xs))
-    v2 = np.asarray(evaluate(b2, xs))
-    for name, v in (("b1", v1), ("b2", v2)):
-        small = np.abs(v).min()
-        if small < DEGENERACY_FLOOR:
-            raise DegenerateFieldError(
-                f"velocity field {name} reaches |b| = {small:.3e} on the integration path "
-                f"(floor {DEGENERACY_FLOOR:.1e})"
-            )
-        if v.min() < 0.0 < v.max():
-            raise DegenerateFieldError(f"velocity field {name} changes sign on the integration path")
     sg = cross_section(sigma, xs)
-    g = np.array([sg / v2, sg / v1])
+    g = np.array([sg / evaluate(b2, xs), sg / evaluate(b1, xs)])
     a = g[0] + g[1]
     h = x / steps
     lo, mid, hi = a[:-1:2], a[1::2], a[2::2]
@@ -168,10 +158,10 @@ def fundamental_matrix(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, x: float)
     Raises
     ------
     DegenerateFieldError
-        If a velocity field drops below ``DEGENERACY_FLOOR`` or takes
-        both signs at the lattice points of the path.
+        If a velocity field reaches ``|b| <= DEGENERACY_FLOOR`` or
+        changes sign anywhere on ``[0, 1]``, not only on ``[0, x]``.
     InvalidCrossSectionError
-        If ``sigma`` falls below ``-DEGENERACY_FLOOR`` anywhere on the path.
+        If ``sigma`` falls below ``-DEGENERACY_FLOOR`` anywhere on ``[0, 1]``.
     DomainError
         If ``x`` lies outside ``[0, 1]``.
     NumericalError
@@ -201,12 +191,11 @@ def solve_steady(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, n: int) -> Stea
     Raises
     ------
     DegenerateFieldError
-        If a velocity field drops below ``DEGENERACY_FLOOR`` or takes
-        both signs at the lattice points, where the profile would change
-        sign.
+        If a velocity field reaches ``|b| <= DEGENERACY_FLOOR`` or
+        changes sign anywhere on ``[0, 1]``, where the profile would.
     InvalidCrossSectionError
-        If ``sigma`` falls below ``-DEGENERACY_FLOOR`` at a lattice point,
-        as :func:`twospeed.generator.assemble` checks at cell centres.
+        If ``sigma`` falls below ``-DEGENERACY_FLOOR`` anywhere on
+        ``[0, 1]``, the test of :func:`twospeed.generator.assemble`.
     NonUniqueSteadyStateError
         If every flux vanishes (``sigma = 0`` identically): then every
         constant flux pair is periodic.

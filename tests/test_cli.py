@@ -68,6 +68,22 @@ def test_validate_degenerate_exit_code(tmp_path):
     assert main(_args(path, "steady")) == 2
 
 
+def test_sign_change_between_samples_stops_every_command(tmp_path, capsys):
+    # b1 = 1 + 0.5 sin(2 pi x) + c cos(2 pi x) dips to -7.5e-10 between
+    # the validator's samples. Its closed-form range fails it, so report
+    # stops before the steady flux overflows and writes nothing.
+    path = tmp_path / "dip.yaml"
+    path.write_text(
+        GT_CONFIG.format(out=tmp_path / "out").replace(
+            "b1: {kind: constant, value: 1.0}", "b1: {kind: trigonometric, a: 1.0, b: 0.5, c: 0.8660254046504641}"
+        ).replace("\ngrid:", "\n  sigma: {kind: constant, value: 1.0}\ngrid:")
+    )
+    assert main(_args(path, "validate")) == 2
+    assert main(_args(path, "report")) == 2
+    assert "b1 changes sign on [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_field_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("fields:\n  b1: {kind: constant, value: 1.0}\ngrid: {n: 64}\n")

@@ -4,9 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twospeed as ts
 from twospeed.errors import DomainError, InvalidCrossSectionError
+from twospeed.fields import field_range
 
 
 def test_constant_evaluation():
@@ -174,6 +177,43 @@ def test_disjoint_witnesses_fail():
     rep = ts.validate_cross_section_overlap(b1, b2, sigma)
     assert not rep.passed
     assert "simultaneously" in rep.detail
+
+
+coeff = st.floats(-2.0, 2.0)
+knots = st.lists(st.integers(1, 99), unique=True, max_size=6).map(lambda ks: [0.0, *sorted(k / 100 for k in ks), 1.0])
+any_field = st.one_of(
+    st.builds(ts.FieldSpec.constant, coeff),
+    st.builds(ts.FieldSpec.affine, coeff, coeff),
+    st.builds(ts.FieldSpec.trigonometric, coeff, coeff, coeff),
+    knots.flatmap(lambda xs: st.lists(coeff, min_size=len(xs), max_size=len(xs)).map(
+        lambda vs: ts.FieldSpec.tabulated(xs, vs))),
+)
+
+
+def _margin(spec):
+    lo, hi = field_range(spec)
+    return 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=any_field, other=any_field)
+def test_field_range_is_the_range_of_dense_samples(spec, other):
+    # Samples on a grid of spacing h, with a table's knots, lie inside the
+    # closed-form range to rounding and reach both of its ends to O(h^2)
+    # (exactly for the affine ends and the knots), so a range that is
+    # too narrow or too wide fails. The validator's min |b_i| is the
+    # closed-form margin, never above the sampled one.
+    xs = np.union1d(np.linspace(0.0, 1.0, 4097), spec.table[0] if spec.table else [])
+    values = ts.evaluate(spec, xs)
+    lo, hi = field_range(spec)
+    tol = 8.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    assert lo - tol <= values.min() <= lo + (2.0 * np.pi / 4096) ** 2 * (hi - lo) + tol
+    assert hi - (2.0 * np.pi / 4096) ** 2 * (hi - lo) - tol <= values.max() <= hi + tol
+    assert np.abs(values).min() >= _margin(spec) - tol
+    rep = ts.validate_transport_fields(spec, other)
+    assert rep.min_abs_value == min(_margin(spec), _margin(other))
+    if rep.passed:
+        assert rep.min_abs_value > ts.DEGENERACY_FLOOR and np.all(np.sign(values) == np.sign(values[0]))
 
 
 _IMPORT_PROBE = """

@@ -273,6 +273,16 @@ def test_negative_cross_section_raises(gt_fields):
         ts.assemble(b1, b2, ts.FieldSpec.constant(-1.0), ts.Grid(16))
 
 
+def test_negative_cross_section_between_cell_centres_raises(gt_fields):
+    # sigma dips to -0.5 on (0.49, 0.51), between the cell centres
+    # 0.46875 and 0.53125 at n = 16, where it reads 1.
+    b1, b2, _ = gt_fields
+    sigma = ts.FieldSpec.tabulated([0.0, 0.49, 0.5, 0.51, 1.0], [1.0, 1.0, -0.5, 1.0, 1.0])
+    assert np.array_equal(sigma(ts.Grid(16).centers()), np.ones(16))
+    with pytest.raises(InvalidCrossSectionError, match="negative: min sigma = -5.000e-01"):
+        ts.assemble(b1, b2, sigma, ts.Grid(16))
+
+
 @pytest.mark.parametrize("n", [16, 64, 256])
 @pytest.mark.parametrize(
     "sigma, defective", [(0.0, True), (1e-9, True), (1e-6, False), (1e-3, False)]

@@ -70,6 +70,19 @@ def test_sign_changing_field_raises():
             ts.fundamental_matrix(b1, b2, sigma, 1.0)
 
 
+@pytest.mark.parametrize("value", [1e-10, -1e-10])
+def test_speed_at_the_floor_is_degenerate(value):
+    # |b| = DEGENERACY_FLOOR exactly is degenerate for the validator, the
+    # steady solver and the fundamental matrix alike.
+    b1, b2, sigma = ts.FieldSpec.constant(value), ts.FieldSpec.constant(-1.0), ts.FieldSpec.constant(1.0)
+    assert abs(value) == ts.DEGENERACY_FLOOR
+    assert not ts.validate_transport_fields(b1, b2).passed
+    with pytest.raises(DegenerateFieldError, match=r"b1 reaches \|b\| = 1.000e-10"):
+        ts.solve_steady(b1, b2, sigma, 32)
+    with pytest.raises(DegenerateFieldError, match=r"b1 reaches \|b\| = 1.000e-10"):
+        ts.fundamental_matrix(b1, b2, sigma, 1.0)
+
+
 @pytest.mark.parametrize(
     "sigma",
     [
