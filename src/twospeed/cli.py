@@ -108,7 +108,6 @@ class RunConfig:
     n: int
     evolve_T: float
     evolve_dt: float
-    scheme: str
     observe_every: int
     snapshot_every: int
     initial: tuple
@@ -317,9 +316,8 @@ def load_config(path, out_override=None) -> RunConfig:
         {"T", "dt", "scheme", "observe_every", "snapshot_every", "initial"},
         "evolve",
     )
-    scheme = ev.get("scheme", "implicit-trapezoid")
-    if scheme not in SCHEMES:
-        raise _fail("evolve.scheme", f"unknown scheme {scheme!r}; expected one of: {', '.join(SCHEMES)}")
+    if ev.get("scheme", SCHEMES[0]) not in SCHEMES:
+        raise _fail("evolve.scheme", f"unknown scheme {ev['scheme']!r}; expected one of: {', '.join(SCHEMES)}")
 
     snapshot_every = _get_number(ev, "snapshot_every", "evolve", default=0, integer=True, at_least=0)
     evolve_T = _get_number(ev, "T", "evolve", default=10.0, positive=True)
@@ -372,7 +370,6 @@ def load_config(path, out_override=None) -> RunConfig:
         n=n,
         evolve_T=evolve_T,
         evolve_dt=evolve_dt,
-        scheme=scheme,
         observe_every=observe_every,
         snapshot_every=snapshot_every,
         initial=_parse_initial(ev.get("initial"), "evolve.initial", base_dir),
@@ -414,11 +411,10 @@ def _validation_gate(cfg: RunConfig, args):
 def _assemble(cfg: RunConfig, args):
     gen = assemble(cfg.b1, cfg.b2, cfg.sigma, Grid(cfg.n))
     if args.dump_matrix:
-        rows = [
-            ",".join(f"{v:.17g}" for v in row)  # row-major entry dump for debugging
-            for row in gen.matrix
-        ]
-        (cfg.out_dir / "generator_matrix.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        coo = gen.operator.tocoo()
+        order = np.lexsort((coo.col, coo.row))  # by row, then column
+        triples = [("row", coo.row[order]), ("col", coo.col[order]), ("value", coo.data[order])]
+        write_csv(cfg.out_dir / "generator_matrix.csv", triples, cfg.meta())
     return gen
 
 
@@ -528,7 +524,6 @@ def _evolve(cfg: RunConfig, gen):
         _initial_state(cfg, gen),
         cfg.evolve_T,
         cfg.evolve_dt,
-        scheme=cfg.scheme,
         observe_every=cfg.observe_every,
         snapshot_every=cfg.snapshot_every,
     )
@@ -763,7 +758,7 @@ def _build_parser() -> argparse.ArgumentParser:
     assembling.add_argument(
         "--dump-matrix",
         action="store_true",
-        help="also write the assembled generator matrix (row-major CSV)",
+        help="also write the assembled generator's stored entries (row,col,value CSV)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[common]).set_defaults(handler=cmd_validate)

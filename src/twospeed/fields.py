@@ -31,7 +31,10 @@ differ somewhere on the interval; with a variable cross-section, the
 velocity difference and the cross-section must additionally be non-zero
 at a common point.  Sign, ``min |b_i|`` and ``sigma >= 0`` hold for
 every ``x`` by each kind's closed-form range (:func:`field_range`); the
-overlap is sampled, where a sample is a valid witness.  Margins are
+distinctness and overlap are sampled, where a sample is a valid
+witness.  Each condition has one report: the speeds and their
+difference belong to :func:`validate_transport_fields`, ``sigma >= 0``
+and the overlap to :func:`validate_cross_section_overlap`.  Margins are
 reported, not raised, so degenerate experiments remain expressible.
 """
 
@@ -248,27 +251,19 @@ class ValidationReport:
     detail: str
 
 
-def _sampled_report(b1: FieldSpec, b2: FieldSpec, sigma=None) -> ValidationReport:
-    """Verdict on the speeds by their ranges and on ``|b1 - b2|``, times the clipped ``sigma``, by samples."""
+def _sampled_report(b1: FieldSpec, b2: FieldSpec, weight, label: str, failure: str, problems=()) -> ValidationReport:
+    """``problems`` plus the sampled witness of ``|b1 - b2| * weight(x)`` (called ``label``), with the speeds' margins."""
     samples = DEFAULT_SAMPLES
     xs = np.linspace(0.0, 1.0, samples)
-    quantity = np.abs(evaluate(b1, xs) - evaluate(b2, xs))
-    if sigma is None:
-        label, distinct = "|b1 - b2|", "indistinguishable fields"
-    else:
-        quantity *= np.maximum(cross_section(sigma, xs), 0.0)
-        label = "|b1 - b2|*sigma"
-        distinct = "velocity difference and cross-section are never simultaneously non-zero"
-
+    quantity = np.abs(evaluate(b1, xs) - evaluate(b2, xs)) * weight(xs)
     ranges = field_range(b1), field_range(b2)
     min_abs = min(max(0.0, lo, -hi) for lo, hi in ranges)
     s1, s2 = (int(lo > 0.0) - int(hi < 0.0) for lo, hi in ranges)
     iw = int(np.argmax(quantity))
     top = float(quantity[iw])
 
-    problems = [f"degenerate velocity: {d}" for d in (speed_defect("b1", b1), speed_defect("b2", b2)) if d]
     if top <= DEGENERACY_FLOOR:
-        problems.append(f"{distinct}: max {label} = {top:.3e} ({samples} samples)")
+        problems = [*problems, f"{failure}: max {label} = {top:.3e} ({samples} samples)"]
     detail = "; ".join(problems) or (
         f"min |b_i| = {min_abs:.6e}, max {label} = {top:.6e} at x = {xs[iw]:.6f} "
         f"(floor {DEGENERACY_FLOOR:.1e}, {samples} samples)"
@@ -281,23 +276,27 @@ def validate_transport_fields(b1: FieldSpec, b2: FieldSpec) -> ValidationReport:
 
     Passes iff :func:`speed_defect` finds no fault in either field and
     they differ by more than ``DEGENERACY_FLOOR`` at one of
-    ``DEFAULT_SAMPLES`` uniform points.  Failure is reported, not raised.
+    ``DEFAULT_SAMPLES`` uniform points.  This is the one verdict on the
+    speeds.  Failure is reported, not raised.
     """
-    return _sampled_report(b1, b2)
+    problems = [f"degenerate velocity: {d}" for d in (speed_defect("b1", b1), speed_defect("b2", b2)) if d]
+    return _sampled_report(b1, b2, np.ones_like, "|b1 - b2|", "indistinguishable fields", problems)
 
 
 def validate_cross_section_overlap(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec) -> ValidationReport:
-    """Check admissibility with a variable reaction cross-section.
+    """Check that the velocities differ where the cross-section is non-zero.
 
-    Passes iff both velocities pass :func:`validate_transport_fields`'s
-    range test, the cross-section is non-negative, and the product
-    ``|b1 - b2| * sigma`` exceeds ``DEGENERACY_FLOOR`` at one of
-    ``DEFAULT_SAMPLES`` uniform points, i.e. the fields are
-    distinguishable *where collisions happen*.
+    Passes iff the product ``|b1 - b2| * sigma`` exceeds
+    ``DEGENERACY_FLOOR`` at one of ``DEFAULT_SAMPLES`` uniform points,
+    i.e. the fields are distinguishable *where collisions happen*.  The
+    speeds themselves are judged by :func:`validate_transport_fields`
+    alone: here ``min_abs_value`` and ``sign`` only describe them, and a
+    speed fault does not fail this report.
 
     Raises
     ------
     InvalidCrossSectionError
         If ``sigma`` falls below ``-DEGENERACY_FLOOR`` anywhere on ``[0, 1]``.
     """
-    return _sampled_report(b1, b2, sigma)
+    label, failure = "|b1 - b2|*sigma", "velocity difference and cross-section are never simultaneously non-zero"
+    return _sampled_report(b1, b2, lambda xs: np.maximum(cross_section(sigma, xs), 0.0), label, failure)

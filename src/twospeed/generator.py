@@ -24,8 +24,9 @@ the time stepper and every matrix-vector product use it.  The weighted
 similarity transform ``S = D^{-1/2} A D^{1/2}`` on which every spectral
 stage works has one builder, :func:`sparse_symmetrized`, with the same
 sparsity; :func:`symmetrized` is its dense copy.  ``matrix``, the dense
-copy of ``A``, is built on every read and never kept (``--dump-matrix``
-and tests); no stage of the pipeline reads it.  :func:`hermitian_abscissa`
+copy of ``A``, is built on every read and never kept; no library
+function reads it (``--dump-matrix`` writes the stored entries of
+``operator``).  :func:`hermitian_abscissa`
 bounds the top eigenvalue of the symmetric part of ``S`` above by
 Collatz-Wielandt on the steady state, in O(nnz) work and no eigensolve.
 
@@ -113,7 +114,7 @@ class GeneratorMatrix:
     column; matrix-vector products and time stepping use it.  ``matrix``
     is the same operator as a dense array (``operator.toarray()``),
     built anew on every read and never kept; no library function reads
-    it.
+    it, the CLI included.
     ``steady`` is the positive null vector normalised to discrete total
     mass one, and the metric weights are the entrywise reciprocals of
     ``steady``.

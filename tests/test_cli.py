@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import yaml
 
 import twospeed as ts
@@ -168,7 +169,7 @@ def test_readme_configuration_lists_the_defaults(tmp_path):
     )
     defaults = load_config(tmp_path / "minimal.yaml")
     for name in (
-        "evolve_T", "evolve_dt", "scheme", "observe_every", "snapshot_every", "initial",
+        "evolve_T", "evolve_dt", "observe_every", "snapshot_every", "initial",
         "lambda_max", "coarse_points", "refine_depth", "t_grid",
         "lemma_psi", "lemma_lambda_min", "lemma_lambda_max", "lemma_points",
     ):
@@ -451,10 +452,30 @@ def test_report_reuses_stage_artifacts(gt_config, tmp_path):
 
 
 def test_matrix_dump(gt_config, tmp_path):
+    # The stored entries as row,col,value triples under the meta line,
+    # sorted by row then column, which rebuild the operator exactly.
     assert main(_args(gt_config, "spectrum", "--dump-matrix")) == 0
-    lines = (tmp_path / "out" / "generator_matrix.csv").read_text().splitlines()
-    assert len(lines) == 128
-    assert len(lines[0].split(",")) == 128
+    path = tmp_path / "out" / "generator_matrix.csv"
+    meta, header = path.read_text().splitlines()[:2]
+    assert meta.startswith("# config=") and " n=64 " in meta
+    assert header == "row,col,value"
+    cols = read_csv_columns(path)
+    row, col = cols["row"].astype(int), cols["col"].astype(int)
+    assert np.array_equal(cols["row"], row) and np.array_equal(cols["col"], col)
+    assert np.all(np.lexsort((col, row)) == np.arange(len(row)))
+    gen = ts.assemble(ts.FieldSpec.constant(1.0), ts.FieldSpec.constant(-1.0), ts.FieldSpec.constant(1.0), ts.Grid(64))
+    assert len(row) == gen.operator.nnz and np.all(cols["value"] != 0.0)
+    rebuilt = scipy.sparse.csc_array((cols["value"], (row, col)), shape=gen.operator.shape)
+    assert (rebuilt != gen.operator).nnz == 0
+
+
+def test_matrix_dump_reads_no_dense_matrix(gt_config, tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the CLI read the dense matrix")
+
+    monkeypatch.setattr(ts.GeneratorMatrix, "matrix", property(refuse))
+    assert main(_args(gt_config, "report", "--dump-matrix")) == 0
+    assert (tmp_path / "out" / "generator_matrix.csv").is_file()
 
 
 @pytest.mark.parametrize("command", ["validate", "steady", "lemma"])

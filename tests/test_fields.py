@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import twospeed as ts
 from twospeed.errors import DomainError, InvalidCrossSectionError
-from twospeed.fields import field_range
+from twospeed.fields import field_range, speed_defect
 
 
 def test_constant_evaluation():
@@ -139,13 +139,18 @@ def test_validate_sign_change_is_degenerate():
 
 
 def test_failure_persists_under_grid_refinement(monkeypatch):
-    # The affine field vanishes exactly at x = 0.5, which is a grid
-    # point of every refinement that contains the coarse grid.
-    b1 = ts.FieldSpec.affine(-0.5, 1.0)
-    b2 = ts.FieldSpec.constant(1.0)
+    # b1 and b2 are equal on [1/2, 1] and sigma vanishes on [0, 1/2], so
+    # |b1 - b2| sigma is 0 at every sample of every refinement, while
+    # both speeds are admissible and distinct.
+    b1 = ts.FieldSpec.tabulated([0.0, 1.0], [1.0, 1.0])
+    b2 = ts.FieldSpec.tabulated([0.0, 0.2, 0.45, 0.5, 1.0], [1.5, 1.4, 1.05, 1.0, 1.0])
+    sigma = ts.FieldSpec.tabulated([0.0, 0.5, 0.55, 1.0], [0.0, 0.0, 1.0, 1.0])
     for samples in (9, 17, 33, 4097):
         monkeypatch.setattr("twospeed.fields.DEFAULT_SAMPLES", samples)
-        assert not ts.validate_transport_fields(b1, b2).passed
+        assert ts.validate_transport_fields(b1, b2).passed
+        rep = ts.validate_cross_section_overlap(b1, b2, sigma)
+        assert not rep.passed
+        assert rep.detail.endswith(f"= 0.000e+00 ({samples} samples)")
 
 
 def test_cross_section_everywhere_simultaneous(gt_fields):
@@ -214,6 +219,75 @@ def test_field_range_is_the_range_of_dense_samples(spec, other):
     assert rep.min_abs_value == min(_margin(spec), _margin(other))
     if rep.passed:
         assert rep.min_abs_value > ts.DEGENERACY_FLOOR and np.all(np.sign(values) == np.sign(values[0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(b1=any_field, b2=any_field, sigma=any_field)
+def test_each_condition_has_one_report(b1, b2, sigma):
+    # The speeds and their difference belong to the transport report,
+    # sigma >= 0 and the overlap to the overlap report: each failing
+    # condition shows in exactly one, and the pair passes only when all
+    # four hold.
+    xs = np.linspace(0.0, 1.0, ts.fields.DEFAULT_SAMPLES)
+    diff = np.abs(ts.evaluate(b1, xs) - ts.evaluate(b2, xs))
+    defects = [d for d in (speed_defect("b1", b1), speed_defect("b2", b2)) if d]
+    distinct = diff.max() > ts.DEGENERACY_FLOOR
+    transport = ts.validate_transport_fields(b1, b2)
+    assert transport.passed == (not defects and distinct)
+    assert ("indistinguishable" in transport.detail) == (not distinct)
+    assert all(d in transport.detail for d in defects) and "simultaneously" not in transport.detail
+    if field_range(sigma)[0] < -ts.DEGENERACY_FLOOR:
+        with pytest.raises(InvalidCrossSectionError):
+            ts.validate_cross_section_overlap(b1, b2, sigma)
+        return
+    overlap = ts.validate_cross_section_overlap(b1, b2, sigma)
+    overlaps = (diff * np.maximum(ts.evaluate(sigma, xs), 0.0)).max() > ts.DEGENERACY_FLOOR
+    assert overlap.passed == overlaps
+    assert ("simultaneously" in overlap.detail) == (not overlaps)
+    assert "degenerate" not in overlap.detail and "indistinguishable" not in overlap.detail
+    assert (transport.passed and overlap.passed) == (not defects and distinct and overlaps)
+
+
+FLOOR = ts.DEGENERACY_FLOOR
+
+
+@pytest.mark.parametrize(
+    "sigma, low, speed",
+    [
+        (ts.FieldSpec.trigonometric(1.0, 1.0), 0.0, 1.0),
+        (ts.FieldSpec.tabulated([0.0, 0.5, 1.0], [1.0, 0.0, 1.0]), 0.0, 1.0),
+        (ts.FieldSpec.tabulated([0.0, 0.5, 1.0], [1.0, -FLOOR, 1.0]), -FLOOR, 1.0),
+        # A trigonometric minimum is exactly -FLOOR only at the scale of
+        # FLOOR itself (1e-10 - 2e-10 is exact). Against unit speeds its
+        # 3e-10 of coupling leaves the kernel below the rank tolerance, so
+        # the speeds are 1e-3, and the overlap falls below the floor.
+        (ts.FieldSpec.trigonometric(FLOOR, 2.0 * FLOOR), -FLOOR, 1e-3),
+    ],
+    ids=["trigonometric-zero", "tabulated-zero", "tabulated-floor", "trigonometric-floor"],
+)
+def test_cross_section_at_its_floor_is_accepted(sigma, low, speed):
+    assert field_range(sigma)[0] == low
+    b1, b2 = ts.FieldSpec.constant(speed), ts.FieldSpec.constant(-speed)
+    gen = ts.assemble(b1, b2, sigma, ts.Grid(32))
+    assert gen.sigma_cells.min() >= 0.0 and gen.steady.min() > 0.0
+    assert ts.solve_steady(b1, b2, sigma, 32).p1.min() > 0.0
+    assert ts.validate_cross_section_overlap(b1, b2, sigma).passed == (speed == 1.0)
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [ts.FieldSpec.trigonometric(2.0 * FLOOR, 4.0 * FLOOR), ts.FieldSpec.tabulated([0.0, 0.5, 1.0], [1.0, -2.0 * FLOOR, 1.0])],
+    ids=["trigonometric", "tabulated"],
+)
+def test_cross_section_twice_below_its_floor_raises(gt_fields, sigma):
+    assert field_range(sigma)[0] == -2.0 * FLOOR
+    b1, b2, _ = gt_fields
+    with pytest.raises(InvalidCrossSectionError, match="min sigma = -2.000e-10"):
+        ts.assemble(b1, b2, sigma, ts.Grid(32))
+    with pytest.raises(InvalidCrossSectionError, match="min sigma = -2.000e-10"):
+        ts.solve_steady(b1, b2, sigma, 32)
+    with pytest.raises(InvalidCrossSectionError, match="min sigma = -2.000e-10"):
+        ts.validate_cross_section_overlap(b1, b2, sigma)
 
 
 _IMPORT_PROBE = """

@@ -233,6 +233,7 @@ def one_signed(low, high):
 def test_admissible_fields_give_a_conservative_generator(b1, b2, sigma, n):
     # Over random admissible fields: zero column sums, a positive steady
     # state and a mass-conserving implicit-trapezoid run.
+    assume(ts.validate_transport_fields(b1, b2).passed)
     assume(ts.validate_cross_section_overlap(b1, b2, sigma).passed)
     gen = ts.assemble(b1, b2, sigma, ts.Grid(n))
     assert np.abs(gen.operator.sum(axis=0)).max() <= 1e-12 * gen.operator_scale()
