@@ -207,11 +207,10 @@ def _field_from_node(node, path: str, base_dir: Path) -> FieldSpec:
         if kind == "tabulated":
             _check_keys(node, {"kind", "x", "v", "csv"}, path)
             if "csv" in node:
-                csv_path = base_dir / str(node["csv"])
-                if not csv_path.is_file():
-                    raise _fail(f"{path}.csv", f"file not found: {csv_path}")
-                xs, vs = _read_table(csv_path)
-                return FieldSpec.tabulated(xs, vs)
+                columns = list(_read_input(node, "csv", path, base_dir).values())
+                if len(columns) != 2:
+                    raise _fail(f"{path}.csv", f"expected two columns, got {len(columns)}")
+                return FieldSpec.tabulated(*columns)
             if "x" not in node or "v" not in node:
                 raise _fail(path, "tabulated field needs 'x' and 'v' lists (or 'csv')")
             return FieldSpec.tabulated(node["x"], node["v"])
@@ -220,39 +219,21 @@ def _field_from_node(node, path: str, base_dir: Path) -> FieldSpec:
     raise _fail(f"{path}.kind", f"unknown field kind {kind!r}")
 
 
-def _read_table(path: Path):
-    """Two-column CSV samples; only the first non-comment row may be a header.
-
-    Every row, the header too, must have exactly two cells.
-    """
-    xs, vs = [], []
-    first_row = True
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigurationError(
-                f"{path}, line {lineno}: expected two comma-separated columns, "
-                f"got {len(parts)} in {line!r}"
-            )
-        try:
-            x, v = float(parts[0]), float(parts[1])
-        except ValueError:
-            if first_row:
-                first_row = False
-                continue
-            raise ConfigurationError(f"{path}, line {lineno}: malformed sample row {line!r}") from None
-        first_row = False
-        xs.append(x)
-        vs.append(v)
-    if len(xs) < 2:
-        raise ConfigurationError(f"{path}: needs at least two numeric sample rows")
-    return xs, vs
+def _read_input(node: dict, key: str, path: str, base_dir: Path) -> dict:
+    """The columns of the CSV file ``node[key]``, relative to the config's directory."""
+    if key not in node:
+        raise _fail(f"{path}.{key}", "missing required value")
+    csv_path = base_dir / str(node[key])
+    if not csv_path.is_file():
+        raise _fail(f"{path}.{key}", f"file not found: {csv_path}")
+    try:
+        return read_csv_columns(csv_path)
+    except ValueError as exc:
+        raise _fail(path, str(exc)) from exc
 
 
-def _parse_initial(node, path: str, base_dir: Path) -> tuple:
+def _parse_initial(node, path: str, base_dir: Path, n: int) -> tuple:
+    """``(type, *parameters)``; a ``from-csv`` state is read here, as its ``n`` cell values."""
     node = _get_map(node, path)
     if not node:
         return ("steady-plus-mode", 1, 0.01)
@@ -269,17 +250,30 @@ def _parse_initial(node, path: str, base_dir: Path) -> tuple:
         return (kind, _get_number(node, "amplitude", path, default=0.1))
     if kind == "from-csv":
         _check_keys(node, {"type", "path"}, path)
-        if "path" not in node:
-            raise _fail(f"{path}.path", "missing required value")
-        csv_path = base_dir / str(node["path"])
-        if not csv_path.is_file():
-            raise _fail(f"{path}.path", f"file not found: {csv_path}")
-        return (kind, csv_path)
+        cols = _read_input(node, "path", path, base_dir)
+        where = base_dir / str(node["path"])
+        for name in ("x", "p1", "p2"):
+            if name not in cols:
+                raise _fail(path, f"{where}: initial-state CSV needs column {name!r}")
+            if not np.isfinite(cols[name]).all():
+                raise _fail(path, f"{where}: initial-state column {name!r} is not finite")
+        p1, p2 = cols["p1"], cols["p2"]
+        if len(p1) == n + 1:
+            # Node-based profile (steady-state CSV layout): average onto cells.
+            p1, p2 = 0.5 * (p1[:-1] + p1[1:]), 0.5 * (p2[:-1] + p2[1:])
+        if len(p1) != n:
+            raise _fail(path, f"{where}: expected {n} cell rows or {n + 1} node rows, got {len(cols['x'])}")
+        return (kind, p1, p2)
     raise _fail(f"{path}.type", f"unknown initial-condition type {kind!r}")
 
 
 def load_config(path, out_override=None) -> RunConfig:
-    """Parse and validate a YAML run configuration."""
+    """Parse and validate a YAML run configuration.
+
+    Every input file it names (a tabulated field's ``csv``, a
+    ``from-csv`` initial state) is read and checked here, so an input
+    fault is a configuration error before any stage runs.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
@@ -372,7 +366,7 @@ def load_config(path, out_override=None) -> RunConfig:
         evolve_dt=evolve_dt,
         observe_every=observe_every,
         snapshot_every=snapshot_every,
-        initial=_parse_initial(ev.get("initial"), "evolve.initial", base_dir),
+        initial=_parse_initial(ev.get("initial"), "evolve.initial", base_dir, n),
         lambda_max=_get_number(sp, "lambda_max", "spectral", default=0.0, at_least=0),
         coarse_points=_get_number(
             sp, "coarse_points", "spectral", default=COARSE_POINTS, integer=True, at_least=COARSE_POINTS
@@ -419,33 +413,12 @@ def _assemble(cfg: RunConfig, args):
 
 
 def _initial_state(cfg: RunConfig, gen) -> StateVector:
-    kind = cfg.initial[0]
+    kind, *params = cfg.initial
     if kind == "steady-plus-mode":
-        return steady_plus_mode(gen, cfg.initial[1], cfg.initial[2])
+        return steady_plus_mode(gen, *params)
     if kind == "component-imbalance":
-        return component_imbalance(gen, cfg.initial[1])
-    path = cfg.initial[1]
-    try:
-        cols = read_csv_columns(path)
-    except ValueError as exc:
-        raise ConfigurationError(f"evolve.initial: {exc}") from exc
-    for name in ("x", "p1", "p2"):
-        if name not in cols:
-            raise ConfigurationError(f"{path}: initial-state CSV needs column {name!r}")
-        if not np.isfinite(cols[name]).all():
-            raise ConfigurationError(f"{path}: initial-state column {name!r} is not finite")
-    n = gen.grid.n
-    if len(cols["x"]) == n:
-        return gen.state(cols["p1"], cols["p2"])
-    if len(cols["x"]) == n + 1:
-        # Node-based profile (steady-state CSV layout): average onto cells.
-        return gen.state(
-            0.5 * (cols["p1"][:-1] + cols["p1"][1:]),
-            0.5 * (cols["p2"][:-1] + cols["p2"][1:]),
-        )
-    raise ConfigurationError(
-        f"{path}: expected {n} cell rows or {n + 1} node rows, got {len(cols['x'])}"
-    )
+        return component_imbalance(gen, *params)
+    return gen.state(*params)
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:

@@ -30,12 +30,16 @@ both velocity fields must stay away from zero with a fixed sign and
 differ somewhere on the interval; with a variable cross-section, the
 velocity difference and the cross-section must additionally be non-zero
 at a common point.  Sign, ``min |b_i|`` and ``sigma >= 0`` hold for
-every ``x`` by each kind's closed-form range (:func:`field_range`); the
-distinctness and overlap are sampled, where a sample is a valid
-witness.  Each condition has one report: the speeds and their
-difference belong to :func:`validate_transport_fields`, ``sigma >= 0``
-and the overlap to :func:`validate_cross_section_overlap`.  Margins are
-reported, not raised, so degenerate experiments remain expressible.
+every ``x`` by each kind's closed-form range (:func:`field_range`),
+each decided in one place (:func:`speed_defect`,
+:func:`cross_section_defect`); the distinctness and overlap are
+sampled, where a sample is a valid witness.  Each condition has one
+report: the speeds and their difference belong to
+:func:`validate_transport_fields`, ``sigma >= 0`` and the overlap to
+:func:`validate_cross_section_overlap`.  Margins are reported, not
+raised, so degenerate experiments remain expressible; the solvers, which
+cannot run on a negative ``sigma``, raise on the same decision
+(:func:`cross_section`).
 """
 
 from __future__ import annotations
@@ -213,11 +217,23 @@ def speed_defect(name: str, b: FieldSpec):
     return None
 
 
-def cross_section(sigma: FieldSpec, xs: np.ndarray) -> np.ndarray:
-    """``sigma`` at ``xs``; :class:`InvalidCrossSectionError` if its range falls below ``-DEGENERACY_FLOOR``."""
+def cross_section_defect(sigma: FieldSpec):
+    """Why cross-section ``sigma`` is inadmissible on ``[0, 1]``, or ``None``.
+
+    From :func:`field_range`: ``sigma`` must not fall below
+    ``-DEGENERACY_FLOOR`` at any ``x``.
+    """
     low = field_range(sigma)[0]
     if low < -DEGENERACY_FLOOR:
-        raise InvalidCrossSectionError(f"cross-section is negative: min sigma = {low:.3e} on [0, 1]")
+        return f"cross-section is negative: min sigma = {low:.3e} on [0, 1]"
+    return None
+
+
+def cross_section(sigma: FieldSpec, xs: np.ndarray) -> np.ndarray:
+    """``sigma`` at ``xs``; :class:`InvalidCrossSectionError` if :func:`cross_section_defect` finds a fault."""
+    defect = cross_section_defect(sigma)
+    if defect:
+        raise InvalidCrossSectionError(defect)
     return np.asarray(evaluate(sigma, xs))
 
 
@@ -284,19 +300,17 @@ def validate_transport_fields(b1: FieldSpec, b2: FieldSpec) -> ValidationReport:
 
 
 def validate_cross_section_overlap(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec) -> ValidationReport:
-    """Check that the velocities differ where the cross-section is non-zero.
+    """Check that ``sigma >= 0`` and that the velocities differ where it is non-zero.
 
-    Passes iff the product ``|b1 - b2| * sigma`` exceeds
-    ``DEGENERACY_FLOOR`` at one of ``DEFAULT_SAMPLES`` uniform points,
-    i.e. the fields are distinguishable *where collisions happen*.  The
-    speeds themselves are judged by :func:`validate_transport_fields`
-    alone: here ``min_abs_value`` and ``sign`` only describe them, and a
-    speed fault does not fail this report.
-
-    Raises
-    ------
-    InvalidCrossSectionError
-        If ``sigma`` falls below ``-DEGENERACY_FLOOR`` anywhere on ``[0, 1]``.
+    Passes iff :func:`cross_section_defect` finds no fault in ``sigma``
+    and the product ``|b1 - b2| * sigma`` exceeds ``DEGENERACY_FLOOR``
+    at one of ``DEFAULT_SAMPLES`` uniform points, i.e. the fields are
+    distinguishable *where collisions happen*.  The speeds themselves are
+    judged by :func:`validate_transport_fields` alone: here
+    ``min_abs_value`` and ``sign`` only describe them, and a speed fault
+    does not fail this report.  Failure is reported, not raised.
     """
+    defect = cross_section_defect(sigma)
     label, failure = "|b1 - b2|*sigma", "velocity difference and cross-section are never simultaneously non-zero"
-    return _sampled_report(b1, b2, lambda xs: np.maximum(cross_section(sigma, xs), 0.0), label, failure)
+    problems = [defect] if defect else []
+    return _sampled_report(b1, b2, lambda xs: np.maximum(evaluate(sigma, xs), 0.0), label, failure, problems)

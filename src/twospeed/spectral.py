@@ -86,11 +86,10 @@ report certifies it so (``twospeed.cli.cmd_report``).
 :func:`semigroup_bound_check` is the dense reference that the tests
 compare the theorem's bound against.  It takes the norms on a time grid
 from the dense matrix exponential of Hotelling's rank-one deflation
-``S_c = S + c z0 z0^T`` (:func:`restricted_operator`), one product per
-grid time and one exponential per new time step.  ``S_c`` is block
-diagonal, ``S0`` on the complement and the scalar ``c = -3 beta`` on
-``z0``, so its norm is that of ``exp(t S0)``, as
-``exp(c t) <= exp(-beta t) <= ||exp(t S0)||``.
+``S_c = S + c z0 z0^T`` (:func:`restricted_operator`), one exponential
+per grid time.  ``S_c`` is block diagonal, ``S0`` on the complement and
+the scalar ``c = -3 beta`` on ``z0``, so its norm is that of
+``exp(t S0)``, as ``exp(c t) <= exp(-beta t) <= ||exp(t S0)||``.
 """
 
 from __future__ import annotations
@@ -455,13 +454,10 @@ def semigroup_bound_check(gen: GeneratorMatrix, psi: PsiEstimate, t_grid) -> Sem
     A dense reference, O(n^3) per time: no pipeline stage calls it.  The
     norm is the largest singular value of the dense propagator
     ``P(t) = exp(t S_c)`` (:func:`restricted_operator`), that of
-    ``exp(t S0)``.  Along the grid
-    ``P(t_k) = exp((t_k - t_{k-1}) S_c) P(t_{k-1})`` (``t_{-1} = 0``), and
-    a step equal to an earlier grid time ``t_j`` reuses ``P(t_j)``, so
-    the doubling grid ``[0.5, 1, 2, 4]`` costs one matrix exponential
-    (scaling-and-squaring with a Pade rational core) and three products.
-    For a dissipative generator the norm is also non-increasing in
-    ``t``; an overflow here signals a broken matrix.
+    ``exp(t S0)``, with one matrix exponential (scaling-and-squaring
+    with a Pade rational core) per grid time.  For a dissipative
+    generator the norm is also non-increasing in ``t``; an overflow here
+    signals a broken matrix.
     """
     times = np.asarray(t_grid, dtype=float)
     if (
@@ -474,18 +470,10 @@ def semigroup_bound_check(gen: GeneratorMatrix, psi: PsiEstimate, t_grid) -> Sem
 
     s_c, _ = restricted_operator(gen)
     norms = np.empty(len(times))
-    increments = np.diff(times, prepend=0.0)
-    reusable = {}  # P(t_j) for the grid times that a later increment equals
-    propagator = None
-    for i, (t, dt) in enumerate(zip(times, increments)):
-        step = reusable.get(dt)
-        if step is None:
-            step = scipy.linalg.expm(dt * s_c)
-        propagator = step if propagator is None else step @ propagator
+    for i, t in enumerate(times):
+        propagator = scipy.linalg.expm(t * s_c)
         if not np.all(np.isfinite(propagator)):
             raise NumericalError(f"matrix exponential overflowed at t = {t}")
-        if t in increments[i + 1 :]:
-            reusable[t] = propagator
         norms[i] = scipy.linalg.svdvals(propagator)[0]
     bounds = np.exp(-times * psi.psi_hat + 0.5 * pi)
     margins = bounds - norms

@@ -1,10 +1,12 @@
-"""Deterministic CSV and JSON emission.
+"""Deterministic CSV and JSON emission, and the one CSV reader.
 
 Every artifact file starts with one comment line of run metadata
 (config hash, grid size, package version) so results remain
 attributable; reals are written with 17 significant digits so the
 files round-trip bit-for-bit and identical runs produce identical
-bytes.
+bytes.  :func:`read_csv_columns` reads those files back and every CSV
+input of a configuration (tabulated fields, initial states) under one
+rule set.
 """
 
 from __future__ import annotations
@@ -49,28 +51,39 @@ def write_json(path, payload) -> None:
 
 
 def read_csv_columns(path):
-    """Read a CSV written by :func:`write_csv` back into named arrays.
+    """Read a CSV, such as one written by :func:`write_csv`, into named arrays.
 
-    A missing header, a row whose length differs from the header's or a
-    non-numeric cell raises ``ValueError`` naming the file (and line).
+    The one rule for every CSV the package reads: each line is stripped,
+    and blank and ``#`` lines are skipped.  The first remaining row is
+    the header unless every cell in it is a number; a file without a
+    header names its columns by position (``"0"``, ``"1"``, ...).  Every
+    row has as many cells as the first, and every cell after the header
+    is a number.  Any fault raises ``ValueError`` naming the file, the
+    line and the row.
     """
     path = Path(path)
-    rows = []
-    header = None
+    header, rows = None, []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split(",")
-        if header is None:
-            header = tokens
-            continue
-        if len(tokens) != len(header):
-            raise ValueError(f"{path}, line {lineno}: expected {len(header)} values, got {len(tokens)}")
+        cells = [cell.strip() for cell in line.split(",")]
         try:
-            rows.append([float(tok) for tok in tokens])
+            values = [float(cell) for cell in cells]
         except ValueError:
-            raise ValueError(f"{path}, line {lineno}: malformed row {line!r}") from None
+            values = None
+        if header is None:
+            header = [str(j) for j in range(len(cells))] if values else cells
+            if len(set(header)) != len(header):
+                raise ValueError(f"{path}, line {lineno}: repeated column name in {line!r}")
+            if not values:
+                continue
+        if len(cells) != len(header):
+            raise ValueError(f"{path}, line {lineno}: expected {len(header)} cells, got {len(cells)} in {line!r}")
+        if values is None:
+            raise ValueError(f"{path}, line {lineno}: non-numeric cell in {line!r}")
+        rows.append(values)
     if header is None:
-        raise ValueError(f"{path} contains no header row")
-    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(header)))
+        raise ValueError(f"{path} has no rows")
+    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     return {name: data[:, j] for j, name in enumerate(header)}

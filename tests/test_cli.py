@@ -341,10 +341,14 @@ def test_evolve_writes_snapshots(gt_config, gt_fields, tmp_path):
         "x,p1,p2\n0.0,0.5,0.5\n0.1,0.5\n",  # ragged row
         "x,p1,p2\n"
         + "".join(f"{(i + 0.5) / 64},{'nan' if i == 7 else 0.5},0.5\n" for i in range(64)),
+        "x,p1,p2\n" + "".join(f"{(i + 0.5) / 10},0.5,0.5\n" for i in range(10)),  # neither 64 nor 65 rows
+        "x,p1,p1\n" + "".join(f"{(i + 0.5) / 64},0.5,0.5\n" for i in range(64)),
     ],
-    ids=["non-numeric", "no-header", "ragged", "nan"],
+    ids=["non-numeric", "no-header", "ragged", "nan", "10-rows", "repeated-column"],
 )
 def test_malformed_initial_csv_is_config_error(tmp_path, capsys, text):
+    # The initial state is read with the config, so report stops before
+    # any stage runs or its output directory exists.
     state = tmp_path / "state.csv"
     state.write_text(text)
     path = tmp_path / "run.yaml"
@@ -354,8 +358,62 @@ def test_malformed_initial_csv_is_config_error(tmp_path, capsys, text):
             "initial: {type: from-csv, path: state.csv}",
         )
     )
-    assert main(_args(path, "evolve")) == 1
-    assert "state.csv" in capsys.readouterr().err
+    assert main(_args(path, "report")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: evolve.initial: ") and "state.csv" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,v\n0.0,1.0\n0.5,1.5\n1.0,1.0\n",
+        "0.0,1.0\n0.5,1.5\n1.0,1.0\n",
+        "# sigma samples\n\n  x , sigma  \n0.0,1.0\n\n# the peak\n0.5,1.5\n1.0,1.0\n\n",
+    ],
+    ids=["header", "no-header", "comments-and-blanks"],
+)
+def test_tabulated_csv_loads_the_inline_field(tmp_path, text):
+    (tmp_path / "sigma.csv").write_text(text)
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        GT_CONFIG.format(out=tmp_path / "out").replace(
+            "grid: {n: 64}", "  sigma: {kind: tabulated, csv: sigma.csv}\ngrid: {n: 64}"
+        )
+    )
+    assert load_config(path).sigma == ts.FieldSpec.tabulated([0.0, 0.5, 1.0], [1.0, 1.5, 1.0])
+
+
+@pytest.mark.parametrize("text", ["x,v,w\n0.0,1.0,2.0\n1.0,1.0,2.0\n", "0.0\n1.0\n"], ids=["three", "one"])
+def test_tabulated_csv_needs_two_columns(tmp_path, capsys, text):
+    (tmp_path / "sigma.csv").write_text(text)
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        GT_CONFIG.format(out=tmp_path / "out").replace(
+            "grid: {n: 64}", "  sigma: {kind: tabulated, csv: sigma.csv}\ngrid: {n: 64}"
+        )
+    )
+    assert main(_args(path, "validate")) == 1
+    assert capsys.readouterr().err.startswith("config error: fields.sigma.csv: expected two columns")
+
+
+def test_negative_cross_section_is_an_admissibility_failure(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        GT_CONFIG.format(out=tmp_path / "out").replace(
+            "grid: {n: 64}", "  sigma: {kind: constant, value: -1.0}\ngrid: {n: 64}"
+        )
+    )
+    assert main(_args(path, "validate")) == 2
+    out = capsys.readouterr().out
+    assert "cross-section overlap: FAIL (cross-section is negative: min sigma = -1.000e+00" in out
+    assert main(_args(path, "report")) == 2
+    assert "admissibility failure: cross-section is negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # The solvers refuse it on the same decision.
+    assert main(_args(path, "report", "--allow-degenerate")) == 3
+    assert "numerical error: cross-section is negative" in capsys.readouterr().err
 
 
 def test_lemma_artifacts(gt_config, tmp_path):

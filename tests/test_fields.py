@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import twospeed as ts
 from twospeed.errors import DomainError, InvalidCrossSectionError
-from twospeed.fields import field_range, speed_defect
+from twospeed.fields import cross_section_defect, field_range, speed_defect
 
 
 def test_constant_evaluation():
@@ -165,10 +165,14 @@ def test_cross_section_zero_fails(gt_fields):
     assert "simultaneously" in rep.detail
 
 
-def test_cross_section_negative_raises(gt_fields):
+def test_cross_section_negative_fails(gt_fields):
+    # A negative sigma is an admissibility failure, reported, not raised.
     b1, b2, _ = gt_fields
-    with pytest.raises(InvalidCrossSectionError):
-        ts.validate_cross_section_overlap(b1, b2, ts.FieldSpec.constant(-0.5))
+    rep = ts.validate_cross_section_overlap(b1, b2, ts.FieldSpec.constant(-0.5))
+    assert not rep.passed
+    assert rep.detail.startswith("cross-section is negative: min sigma = -5.000e-01 on [0, 1]")
+    assert cross_section_defect(ts.FieldSpec.constant(-0.5)) in rep.detail
+    assert ts.validate_transport_fields(b1, b2).passed
 
 
 def test_disjoint_witnesses_fail():
@@ -227,7 +231,7 @@ def test_each_condition_has_one_report(b1, b2, sigma):
     # The speeds and their difference belong to the transport report,
     # sigma >= 0 and the overlap to the overlap report: each failing
     # condition shows in exactly one, and the pair passes only when all
-    # four hold.
+    # five hold.
     xs = np.linspace(0.0, 1.0, ts.fields.DEFAULT_SAMPLES)
     diff = np.abs(ts.evaluate(b1, xs) - ts.evaluate(b2, xs))
     defects = [d for d in (speed_defect("b1", b1), speed_defect("b2", b2)) if d]
@@ -236,16 +240,15 @@ def test_each_condition_has_one_report(b1, b2, sigma):
     assert transport.passed == (not defects and distinct)
     assert ("indistinguishable" in transport.detail) == (not distinct)
     assert all(d in transport.detail for d in defects) and "simultaneously" not in transport.detail
-    if field_range(sigma)[0] < -ts.DEGENERACY_FLOOR:
-        with pytest.raises(InvalidCrossSectionError):
-            ts.validate_cross_section_overlap(b1, b2, sigma)
-        return
+    negative = field_range(sigma)[0] < -ts.DEGENERACY_FLOOR
     overlap = ts.validate_cross_section_overlap(b1, b2, sigma)
     overlaps = (diff * np.maximum(ts.evaluate(sigma, xs), 0.0)).max() > ts.DEGENERACY_FLOOR
-    assert overlap.passed == overlaps
+    assert overlap.passed == (overlaps and not negative)
+    assert ("cross-section is negative" in overlap.detail) == negative
+    assert "cross-section is negative" not in transport.detail
     assert ("simultaneously" in overlap.detail) == (not overlaps)
     assert "degenerate" not in overlap.detail and "indistinguishable" not in overlap.detail
-    assert (transport.passed and overlap.passed) == (not defects and distinct and overlaps)
+    assert (transport.passed and overlap.passed) == (not defects and distinct and overlaps and not negative)
 
 
 FLOOR = ts.DEGENERACY_FLOOR
@@ -286,8 +289,8 @@ def test_cross_section_twice_below_its_floor_raises(gt_fields, sigma):
         ts.assemble(b1, b2, sigma, ts.Grid(32))
     with pytest.raises(InvalidCrossSectionError, match="min sigma = -2.000e-10"):
         ts.solve_steady(b1, b2, sigma, 32)
-    with pytest.raises(InvalidCrossSectionError, match="min sigma = -2.000e-10"):
-        ts.validate_cross_section_overlap(b1, b2, sigma)
+    rep = ts.validate_cross_section_overlap(b1, b2, sigma)
+    assert not rep.passed and "cross-section is negative: min sigma = -2.000e-10" in rep.detail
 
 
 _IMPORT_PROBE = """
