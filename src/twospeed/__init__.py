@@ -34,20 +34,17 @@ from .fields import (
     validate_cross_section_overlap,
     validate_transport_fields,
 )
-from .steady_state import SteadyState, fundamental_matrix, solve_steady, steady_residual
+from .steady_state import SteadyState, solve_steady, steady_residual
 from .space import (
     StateVector,
     WeightedSpace,
     deflate_to_mean_zero,
-    inner,
     norm,
-    project_equilibrium,
     total_mass,
 )
 from .generator import (
     GeneratorMatrix,
     Grid,
-    apply,
     assemble,
     dissipativity_check,
     hermitian_abscissa,
@@ -70,6 +67,6 @@ from .spectral import (
     semigroup_bound_check,
     spectrum,
 )
-from .stationary_phase import PhaseSweep, lemma_sweep, phase_integral
+from .stationary_phase import PhaseSweep, lemma_sweep
 
 __version__ = "0.1.0"

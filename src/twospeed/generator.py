@@ -61,7 +61,6 @@ from .errors import (
     DefectiveGeneratorError,
     NumericalError,
     PositivityError,
-    ShapeError,
 )
 from .fields import FieldSpec, cross_section, evaluate
 from .space import StateVector, WeightedSpace
@@ -159,9 +158,6 @@ class GeneratorMatrix:
 
     def steady_state_vector(self) -> StateVector:
         return self.state(self.steady1, self.steady2)
-
-    def max_speed(self) -> float:
-        return float(max(np.abs(self.face_b1).max(), np.abs(self.face_b2).max()))
 
     def operator_scale(self) -> float:
         """Infinity norm of the operator, used to scale rank tolerances."""
@@ -430,14 +426,6 @@ def assemble(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, grid: Grid) -> Gene
     vec = vec / (grid.h * vec.sum())
 
     return GeneratorMatrix(grid, operator, f1, f2, sg, vec)
-
-
-def apply(gen: GeneratorMatrix, p: StateVector) -> StateVector:
-    """Matrix action of the generator on a cell state."""
-    if len(p.p1) != gen.grid.n:
-        raise ShapeError("state does not live on the generator's cell grid")
-    out = gen.operator @ p.stacked
-    return StateVector.from_stacked(p.x, out)
 
 
 def rayleigh_real_part(gen: GeneratorMatrix, stacked: np.ndarray) -> float:

@@ -7,12 +7,11 @@ profile,
     (p, q) = sum_i  int  p_i * conj(q_i) / p_i,inf  dx,
 
 so that the squared norm of a perturbation is its quadratic relative
-entropy.  Two concrete quadratures back the same algebra: trapezoid
-weights on the node grid of an ODE steady state, and uniform weights on
-the cell grid of an assembled generator.  All operations are pure; the
-discrete identities (idempotence and self-adjointness of the
-equilibrium projector) hold to rounding because every integral uses the
-same weight vector.
+entropy.  The quadrature is a weight vector on the grid; an assembled
+generator supplies uniform (midpoint) weights on its cells.  All
+operations are pure; the discrete identities (idempotence and
+self-adjointness of the mean-zero deflation) hold to rounding because
+every integral uses the same weight vector.
 """
 
 from __future__ import annotations
@@ -22,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .quadrature import midpoint_weights, trapezoid_weights
+from .quadrature import midpoint_weights
 
 __all__ = [
     "StateVector",
     "WeightedSpace",
-    "inner",
     "norm",
     "total_mass",
-    "project_equilibrium",
     "deflate_to_mean_zero",
 ]
 
@@ -57,13 +54,6 @@ class StateVector:
         """Both components as one vector (p1 block then p2 block)."""
         return np.concatenate([self.p1, self.p2])
 
-    @classmethod
-    def from_stacked(cls, x: np.ndarray, vec: np.ndarray) -> "StateVector":
-        m = len(x)
-        if len(vec) != 2 * m:
-            raise ShapeError("stacked vector length must be twice the grid size")
-        return cls(x, vec[:m], vec[m:])
-
 
 @dataclass(frozen=True)
 class WeightedSpace:
@@ -81,12 +71,6 @@ class WeightedSpace:
                 raise ShapeError(f"space array {name} does not match the grid")
         if min(self.steady1.min(), self.steady2.min()) <= 0.0:
             raise ShapeError("steady weights must be strictly positive")
-
-    @classmethod
-    def from_steady_state(cls, ss) -> "WeightedSpace":
-        """Node-based space with trapezoid quadrature from a SteadyState."""
-        n = len(ss.x) - 1
-        return cls(ss.x, trapezoid_weights(n + 1, 1.0 / n), ss.p1, ss.p2)
 
     @classmethod
     def from_cells(cls, centers, h, steady1, steady2) -> "WeightedSpace":
@@ -107,15 +91,6 @@ def _check_grid(space: WeightedSpace, p: StateVector) -> None:
         raise ShapeError("state grid does not match the space grid")
 
 
-def inner(space: WeightedSpace, p: StateVector, q: StateVector) -> complex:
-    """Weighted inner product, linear in ``p``, conjugate-linear in ``q``."""
-    _check_grid(space, p)
-    _check_grid(space, q)
-    acc = space.quad * (p.p1 * np.conj(q.p1) / space.steady1)
-    acc = acc + space.quad * (p.p2 * np.conj(q.p2) / space.steady2)
-    return complex(acc.sum())
-
-
 def norm(space: WeightedSpace, p: StateVector) -> float:
     """Weighted norm ``sqrt((p, p))``."""
     _check_grid(space, p)
@@ -128,12 +103,6 @@ def total_mass(space: WeightedSpace, p: StateVector) -> complex:
     """Quadrature of ``p1 + p2``; equals ``(p, p_inf)`` in this metric."""
     _check_grid(space, p)
     return complex(space.quad @ (p.p1 + p.p2))
-
-
-def project_equilibrium(space: WeightedSpace, p: StateVector) -> StateVector:
-    """Orthogonal projection onto the span of the steady state."""
-    m = total_mass(space, p)
-    return StateVector(space.x, m * space.steady1, m * space.steady2)
 
 
 def deflate_to_mean_zero(space: WeightedSpace, p: StateVector) -> StateVector:

@@ -27,7 +27,6 @@ the sweep; it is reported with its margin, never claimed as proof.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +89,12 @@ def _phase_sums(psi, lams: np.ndarray) -> tuple:
     """``I(lambda)`` at every ``lams`` on one grid, and the ``lams`` that grid under-resolves.
 
     ``psi`` is probed once for its maximum, and the grid is the one that
-    resolves the largest ``|lambda|`` (:func:`phase_integral`).  The
-    cumulative phase at its outer nodes is integrated once; each
-    frequency is then one weighted sum of exponentials.  A chunk holds
-    at most ``_CHUNK * 8`` frequency-node pairs.
+    resolves the largest ``|lambda|``: at least ``DEFAULT_BASE_POINTS``
+    subintervals, and ``POINTS_PER_PERIOD`` per period of the integrand
+    up to ``MAX_SUBINTERVALS`` (:func:`_resolution`).  The cumulative
+    phase at its outer nodes is integrated once; each frequency is then
+    one weighted sum of exponentials.  A chunk holds at most
+    ``_CHUNK * 8`` frequency-node pairs.
     """
     probe = _psi_values(psi, np.linspace(0.0, 1.0, 2049))
     psi_max = float(np.abs(probe).max())
@@ -128,33 +129,18 @@ def _phase_sums(psi, lams: np.ndarray) -> tuple:
     return totals * (0.5 * width), under
 
 
-def phase_integral(psi, lam: float) -> complex:
-    """Compute ``I(lambda)`` with an oscillation-resolving grid.
-
-    ``psi`` may be a :class:`~twospeed.fields.FieldSpec` or any callable
-    mapping coordinates in ``[0, 1]`` to real values.  The number of
-    subintervals is at least ``DEFAULT_BASE_POINTS`` and grows linearly
-    with ``|lambda| * max|psi|`` so that each period of the integrand is
-    sampled at least eight times; above ten million subintervals the
-    grid saturates and an accuracy warning is emitted.  It is the
-    one-frequency case of :func:`lemma_sweep`'s shared grid.
-    """
-    values, under = _phase_sums(psi, np.array([float(lam)]))
-    if under:
-        warnings.warn(_capped_note(under[0]), RuntimeWarning, stacklevel=2)
-    return complex(values[0])
-
-
 def lemma_sweep(psi, lambda_min: float, lambda_max: float, points: int) -> PhaseSweep:
     """Sweep ``|I(lambda)|`` on a geometric grid and judge the tail.
 
-    Every frequency is summed on one grid, the one that resolves
-    ``lambda_max`` (:func:`phase_integral`), so ``psi`` is probed and its
-    cumulative phase integrated once per sweep.  ``warnings`` holds one
-    note for each frequency that a grid capped at ``MAX_SUBINTERVALS``
-    under-resolves.  The surrogate for the limit superior is the maximum
-    modulus over the largest half of the sweep; the verdict is consistent
-    with high-frequency non-degeneracy when that maximum stays below
+    ``psi`` may be a :class:`~twospeed.fields.FieldSpec` or any callable
+    mapping coordinates in ``[0, 1]`` to real values.  Every frequency is
+    summed on one grid, the one that resolves ``lambda_max``
+    (:func:`_phase_sums`), so ``psi`` is probed and its cumulative phase
+    integrated once per sweep.  ``warnings`` holds one note for each
+    frequency that a grid capped at ``MAX_SUBINTERVALS`` under-resolves.
+    The surrogate for the limit superior is the maximum modulus over the
+    largest half of the sweep; the verdict is consistent with
+    high-frequency non-degeneracy when that maximum stays below
     ``1 - DEFAULT_MARGIN``.
     """
     if not 0.0 < lambda_min < lambda_max:

@@ -26,8 +26,7 @@ nothing cancels, and the periodic flux is unique unless ``sigma``
 vanishes identically.  ``B_i`` and ``F_i`` are first-order recurrences
 over a uniform lattice, Simpson's rule on each step; a step carries only
 the ``e^{+-Delta A}`` of that step, so no ``e^{A}`` is formed.  The
-fundamental matrix ``Phi(x)`` of the system has the same closed form.
-The densities are recovered as ``p_i = J_i / b_i`` on a uniform node
+densities are recovered as ``p_i = J_i / b_i`` on a uniform node
 grid and scaled to unit total mass.
 
 The defect of a candidate steady state is measured by
@@ -53,9 +52,8 @@ from .errors import (
 from .fields import FieldSpec, cross_section, evaluate, speed_defect
 from .quadrature import trapezoid_weights
 
-#: Simpson steps across ``[0, x]`` in :func:`fundamental_matrix`, and
-#: the least number across ``[0, 1]`` in :func:`solve_steady`; read at
-#: call time.
+#: The least number of Simpson steps across ``[0, 1]`` in
+#: :func:`solve_steady`; read at call time.
 DEFAULT_STEPS = 4096
 
 
@@ -95,24 +93,24 @@ class SteadyState:
                 raise ShapeError(f"steady-state array {name} does not match the grid")
 
 
-def _lattice(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, x: float, steps: int):
-    """Sources and per-step exponents on ``steps`` Simpson steps of ``[0, x]``.
+def _lattice(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, steps: int):
+    """Sources and per-step exponents on ``steps`` Simpson steps of ``[0, 1]``.
 
     Returns ``(h, g, step, half)``: ``g`` stacks ``g_1`` and ``g_2`` at
     the ``2 * steps + 1`` half-step points, ``step[k]`` is the Simpson
     increment of ``A`` over step ``k`` and ``half[k]`` its increment to
     the step's midpoint, the integral of ``a``'s quadratic interpolant.
     A velocity field that :func:`twospeed.fields.speed_defect` rejects
-    raises :class:`DegenerateFieldError` naming it, whatever ``x``.
+    raises :class:`DegenerateFieldError` naming it.
     """
     for defect in (speed_defect("b1", b1), speed_defect("b2", b2)):
         if defect:
             raise DegenerateFieldError(f"velocity field {defect}")
-    xs = np.linspace(0.0, x, 2 * steps + 1)
+    xs = np.linspace(0.0, 1.0, 2 * steps + 1)
     sg = cross_section(sigma, xs)
     g = np.array([sg / evaluate(b2, xs), sg / evaluate(b1, xs)])
     a = g[0] + g[1]
-    h = x / steps
+    h = 1.0 / steps
     lo, mid, hi = a[:-1:2], a[1::2], a[2::2]
     step = (h / 6.0) * (lo + 4.0 * mid + hi)
     half = (h / 24.0) * (5.0 * lo + 8.0 * mid - hi)
@@ -138,45 +136,13 @@ def _forward(g: np.ndarray, step: np.ndarray, half: np.ndarray, h: float) -> np.
 
 
 def _backward(g: np.ndarray, step: np.ndarray, half: np.ndarray, h: float) -> np.ndarray:
-    """``B(x_k) = int_{x_k}^x e^{A(s) - A(x_k)} g(s) ds``: :func:`_forward` on the mirrored lattice."""
+    """``B(x_k) = int_{x_k}^1 e^{A(s) - A(x_k)} g(s) ds``: :func:`_forward` on the mirrored lattice."""
     return _forward(g[::-1], -step[::-1], (half - step)[::-1], h)[::-1]
 
 
 def _range_error(step: np.ndarray) -> NumericalError:
     swing = np.ptp(np.cumsum(step))
     return NumericalError(f"steady flux spans more than the double range: A varies by {swing:.3g}")
-
-
-def fundamental_matrix(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, x: float) -> np.ndarray:
-    """Fundamental matrix ``Phi(x)`` of the flux system, ``Phi(0) = I``.
-
-    In closed form, with ``DEFAULT_STEPS`` Simpson steps on ``[0, x]``:
-    the first row is ``(e^{-A(x)} + F_1(x), F_1(x))`` and the second is
-    one minus the first, so the column sums are exactly one, as
-    ``(1, 1)`` is a left fixed vector of the coefficient matrix.
-
-    Raises
-    ------
-    DegenerateFieldError
-        If a velocity field reaches ``|b| <= DEGENERACY_FLOOR`` or
-        changes sign anywhere on ``[0, 1]``, not only on ``[0, x]``.
-    InvalidCrossSectionError
-        If ``sigma`` falls below ``-DEGENERACY_FLOOR`` anywhere on ``[0, 1]``.
-    DomainError
-        If ``x`` lies outside ``[0, 1]``.
-    NumericalError
-        If ``Phi`` leaves the double range.
-    """
-    if x == 0.0:
-        return np.eye(2)
-    h, g, step, half = _lattice(b1, b2, sigma, x, DEFAULT_STEPS)
-    f1 = float(_forward(g[0], step, half, h)[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = np.array([np.exp(-step.sum()) + f1, f1])
-        phi = np.array([row, 1.0 - row])
-    if not np.isfinite(phi).all():
-        raise _range_error(step)
-    return phi
 
 
 def solve_steady(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, n: int) -> SteadyState:
@@ -207,7 +173,7 @@ def solve_steady(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, n: int) -> Stea
     if n < 8:
         raise ValueError("steady-state grid needs at least 8 cells")
     substeps = max(1, math.ceil(DEFAULT_STEPS / n))
-    h, g, step, half = _lattice(b1, b2, sigma, 1.0, substeps * n)
+    h, g, step, half = _lattice(b1, b2, sigma, substeps * n)
     total = float(step.sum())
     back, fore = math.exp(min(0.0, -total)), math.exp(min(0.0, total))
     with np.errstate(over="ignore", invalid="ignore"):

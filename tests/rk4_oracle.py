@@ -43,12 +43,6 @@ def rk4_sweep(mats, y, h, record_every=0):
     return np.array(out) if record_every else y
 
 
-def rk4_fundamental_matrix(b1, b2, sigma, x, steps):
-    """``Phi(x)`` from ``steps`` RK4 steps on ``[0, x]``."""
-    mats = coupling_matrices(b1, b2, sigma, np.linspace(0.0, x, 2 * steps + 1))
-    return rk4_sweep(mats, np.eye(2), x / steps)
-
-
 def rk4_steady_densities(b1, b2, sigma, n, substeps):
     """Unit-mass densities ``(p1, p2)`` on ``n + 1`` nodes by shooting.
 

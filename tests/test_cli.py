@@ -111,8 +111,12 @@ def test_unknown_key_is_config_error(tmp_path):
         ("evolve.dt", "dt: 0.002", "dt: .nan"),
         ("evolve.dt", "dt: 0.002", "dt: 1.0e-320"),
         ("spectral.t_grid[2]", "t_grid: [0.5, 1.0, 2.0]", "t_grid: [0.5, 1.0, .inf]"),
-        ("fields.sigma.value", "grid:", "  sigma: {kind: constant, value: .inf}\ngrid:"),
-        ("fields.sigma", "grid:", "  sigma: {kind: tabulated, x: [0.0, 1.0], v: [1.0, .nan]}\ngrid:"),
+        ("fields.sigma.value", "grid: {n: 64}", "  sigma: {kind: constant, value: .inf}\ngrid: {n: 64}"),
+        (
+            "fields.sigma",
+            "grid: {n: 64}",
+            "  sigma: {kind: tabulated, x: [0.0, 1.0], v: [1.0, .nan]}\ngrid: {n: 64}",
+        ),
         ("spectral.coarse_points", "coarse_points: 96", "coarse_points: 1"),
         ("spectral.coarse_points", "coarse_points: 96", "coarse_points: 0"),
         ("spectral.lambda_max", "refine_depth: 25", "refine_depth: 25\n  lambda_max: -1.0"),
@@ -204,7 +208,7 @@ def test_malformed_table_row_is_config_error(tmp_path, capsys, row):
     path = tmp_path / "run.yaml"
     path.write_text(
         GT_CONFIG.format(out=tmp_path / "out").replace(
-            "grid:", "  sigma: {kind: tabulated, csv: sigma.csv}\ngrid:"
+            "grid: {n: 64}", "  sigma: {kind: tabulated, csv: sigma.csv}\ngrid: {n: 64}"
         )
     )
     assert main(_args(path, "validate")) == 1

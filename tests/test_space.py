@@ -3,12 +3,26 @@ import pytest
 
 import twospeed as ts
 from twospeed.errors import ShapeError
-from twospeed.space import WeightedSpace
 
 
 @pytest.fixture(scope="module")
-def space(variant_fields):
-    return WeightedSpace.from_steady_state(ts.solve_steady(*variant_fields, 128))
+def space(gen_variant_128):
+    return gen_variant_128.space()
+
+
+def _inner(space, p, q):
+    """``(p, q)`` from the weighted norm by polarization."""
+    total = 0.0
+    for k in range(4):
+        shifted = ts.StateVector(space.x, p.p1 + 1j**k * q.p1, p.p2 + 1j**k * q.p2)
+        total += 1j**k * ts.norm(space, shifted) ** 2
+    return 0.25 * total
+
+
+def _project(space, p):
+    """Orthogonal projection onto the steady state: the part that deflation removes."""
+    rest = ts.deflate_to_mean_zero(space, p)
+    return ts.StateVector(space.x, p.p1 - rest.p1, p.p2 - rest.p2)
 
 
 def _random_state(space, rng):
@@ -22,14 +36,14 @@ def _random_state(space, rng):
 
 def test_steady_state_has_unit_norm(space):
     p_inf = space.steady_state_vector()
-    assert ts.inner(space, p_inf, p_inf) == pytest.approx(1.0, abs=1e-12)
+    assert ts.norm(space, p_inf) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_inner_against_steady_is_total_mass(space):
     rng = np.random.default_rng(7)
     for _ in range(5):
         p = _random_state(space, rng)
-        ip = ts.inner(space, p, space.steady_state_vector())
+        ip = _inner(space, p, space.steady_state_vector())
         assert ip == pytest.approx(ts.total_mass(space, p), abs=1e-12)
 
 
@@ -37,14 +51,14 @@ def test_conjugate_symmetry_and_linearity(space):
     rng = np.random.default_rng(11)
     p = _random_state(space, rng)
     q = _random_state(space, rng)
-    assert ts.inner(space, p, q) == pytest.approx(np.conj(ts.inner(space, q, p)), abs=1e-12)
+    assert _inner(space, p, q) == pytest.approx(np.conj(_inner(space, q, p)), abs=1e-12)
     two_p = ts.StateVector(space.x, 2.0 * p.p1, 2.0 * p.p2)
-    assert ts.inner(space, two_p, q) == pytest.approx(2.0 * ts.inner(space, p, q), abs=1e-12)
+    assert _inner(space, two_p, q) == pytest.approx(2.0 * _inner(space, p, q), abs=1e-12)
 
 
 def test_projector_fixes_steady_state(space):
     p_inf = space.steady_state_vector()
-    proj = ts.project_equilibrium(space, p_inf)
+    proj = _project(space, p_inf)
     assert np.abs(proj.p1 - p_inf.p1).max() < 1e-13
     assert np.abs(proj.p2 - p_inf.p2).max() < 1e-13
 
@@ -53,7 +67,7 @@ def test_projector_is_idempotent(space):
     rng = np.random.default_rng(3)
     p = _random_state(space, rng)
     deflated = ts.deflate_to_mean_zero(space, p)
-    again = ts.project_equilibrium(space, deflated)
+    again = _project(space, deflated)
     assert np.abs(again.p1).max() < 1e-13 * max(1.0, np.abs(p.p1).max())
     assert np.abs(again.p2).max() < 1e-13 * max(1.0, np.abs(p.p2).max())
 
@@ -61,7 +75,7 @@ def test_projector_is_idempotent(space):
 def test_projector_annihilates_antisymmetric_profiles(space):
     s = np.sin(3.0 * np.pi * space.x) + 0.2
     p = ts.StateVector(space.x, s, -s)
-    proj = ts.project_equilibrium(space, p)
+    proj = _project(space, p)
     assert np.abs(proj.p1).max() < 1e-13
 
 
@@ -86,26 +100,27 @@ def test_projector_is_self_adjoint(space):
     for _ in range(5):
         p = _random_state(space, rng)
         q = _random_state(space, rng)
-        lhs = ts.inner(space, ts.project_equilibrium(space, p), q)
-        rhs = ts.inner(space, p, ts.project_equilibrium(space, q))
+        lhs = _inner(space, _project(space, p), q)
+        rhs = _inner(space, p, _project(space, q))
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
-def test_norm_equivalence_with_empirical_bounds(space, variant_fields):
-    ss = ts.solve_steady(*variant_fields, 128)
+def test_norm_equivalence_with_empirical_bounds(space):
+    lower = min(space.steady1.min(), space.steady2.min())
+    upper = max(space.steady1.max(), space.steady2.max())
     rng = np.random.default_rng(17)
     w = np.asarray(space.quad)
     for _ in range(5):
         p = _random_state(space, rng)
         l2 = np.sqrt(float(w @ (np.abs(p.p1) ** 2 + np.abs(p.p2) ** 2)))
         weighted = ts.norm(space, p)
-        assert weighted**2 <= l2**2 / ss.lower_bound + 1e-12
-        assert weighted**2 >= l2**2 / ss.upper_bound - 1e-12
+        assert weighted**2 <= l2**2 / lower + 1e-12
+        assert weighted**2 >= l2**2 / upper - 1e-12
 
 
 def test_grid_mismatch_raises(space):
     other = ts.StateVector(np.linspace(0, 1, 7), np.ones(7), np.ones(7))
     with pytest.raises(ShapeError):
-        ts.inner(space, other, other)
+        ts.norm(space, other)
     with pytest.raises(ShapeError):
         ts.StateVector(space.x, np.ones(3), np.ones(3))

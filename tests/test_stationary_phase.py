@@ -4,6 +4,7 @@ import scipy.integrate
 
 import twospeed as ts
 from twospeed.errors import ConfigurationError
+from twospeed.stationary_phase import MIN_SWEEP_POINTS
 
 
 def _constant_modulus(c, lam):
@@ -12,44 +13,40 @@ def _constant_modulus(c, lam):
 
 
 def test_full_period_cancels_exactly():
-    value = ts.phase_integral(ts.FieldSpec.constant(1.0), 2.0 * np.pi)
-    assert abs(value) <= 1e-10
+    sweep = ts.lemma_sweep(ts.FieldSpec.constant(1.0), 2.0 * np.pi, 4.0 * np.pi, MIN_SWEEP_POINTS)
+    assert abs(sweep.values[0]) <= 1e-10
 
 
 def test_constant_slope_closed_form():
-    one = ts.FieldSpec.constant(1.0)
-    for lam in np.geomspace(np.pi, 1e3 * np.pi, 21):
-        assert abs(ts.phase_integral(one, lam)) == pytest.approx(
-            _constant_modulus(1.0, lam), abs=1e-8
-        )
+    sweep = ts.lemma_sweep(ts.FieldSpec.constant(1.0), np.pi, 1e3 * np.pi, 21)
+    assert np.abs(sweep.moduli - _constant_modulus(1.0, sweep.lambdas)).max() <= 1e-8
 
 
 def test_zero_slope_gives_unit_modulus():
-    zero = ts.FieldSpec.constant(0.0)
-    for lam in (1.0, 17.0, 555.0):
-        assert abs(ts.phase_integral(zero, lam)) == pytest.approx(1.0, abs=1e-12)
+    sweep = ts.lemma_sweep(ts.FieldSpec.constant(0.0), 1.0, 555.0, MIN_SWEEP_POINTS)
+    assert np.abs(sweep.moduli - 1.0).max() <= 1e-12
 
 
 def test_against_brute_force_quadrature():
     # Independent oracle: dense composite Simpson on the same integrand.
     psi = ts.FieldSpec.trigonometric(1.5, 0.5, 0.0)
-    lam = 37.0
+    sweep = ts.lemma_sweep(psi, 37.0, 74.0, MIN_SWEEP_POINTS)
     x = np.linspace(0.0, 1.0, 40001)
     inner = scipy.integrate.cumulative_simpson(
         np.asarray(ts.evaluate(psi, x)), x=x, initial=0.0
     )
-    brute = scipy.integrate.simpson(np.exp(1j * lam * inner), x=x)
-    assert ts.phase_integral(psi, lam) == pytest.approx(brute, abs=1e-8)
+    brute = scipy.integrate.simpson(np.exp(1j * np.multiply.outer(sweep.lambdas, inner)), x=x)
+    assert np.abs(sweep.values - brute).max() <= 1e-8
 
 
 def test_resolution_adequacy(monkeypatch):
     psi = ts.FieldSpec.trigonometric(1.2, -0.3, 0.2)
     for lam in (7.0, 131.0):
         monkeypatch.setattr("twospeed.stationary_phase.DEFAULT_BASE_POINTS", 64)
-        a = ts.phase_integral(psi, lam)
+        a = ts.lemma_sweep(psi, lam / 2.0, lam, MIN_SWEEP_POINTS).values
         monkeypatch.setattr("twospeed.stationary_phase.DEFAULT_BASE_POINTS", 128)
-        b = ts.phase_integral(psi, lam)
-        assert abs(a - b) < 1e-8
+        b = ts.lemma_sweep(psi, lam / 2.0, lam, MIN_SWEEP_POINTS).values
+        assert np.abs(a - b).max() < 1e-8
 
 
 def test_moduli_never_exceed_one():
@@ -94,8 +91,9 @@ def test_identically_zero_slope_is_inconsistent():
 
 
 def test_callable_slopes_are_accepted():
-    value = ts.phase_integral(lambda x: np.full_like(np.asarray(x, dtype=float), 2.0), 7.7)
-    assert abs(value) == pytest.approx(_constant_modulus(2.0, 7.7), abs=1e-10)
+    two = lambda x: np.full_like(np.asarray(x, dtype=float), 2.0)
+    sweep = ts.lemma_sweep(two, 7.7, 15.4, MIN_SWEEP_POINTS)
+    assert np.abs(sweep.moduli - _constant_modulus(2.0, sweep.lambdas)).max() <= 1e-10
 
 
 def test_argument_validation():
@@ -118,9 +116,11 @@ def test_argument_validation():
 )
 def test_sweep_matches_per_frequency_integrals(psi):
     # The sweep sums every frequency on the grid of the largest one; each
-    # value is the one-frequency integral on its own grid.
+    # value is also the last of a sweep that ends at it, on its own grid.
     sweep = ts.lemma_sweep(psi, np.pi, 200.0 * np.pi, 17)
-    direct = np.array([ts.phase_integral(psi, lam) for lam in sweep.lambdas])
+    direct = np.array(
+        [ts.lemma_sweep(psi, lam / 2.0, lam, MIN_SWEEP_POINTS).values[-1] for lam in sweep.lambdas]
+    )
     assert np.abs(sweep.values - direct).max() <= 1e-12
     assert sweep.warnings == ()
 
@@ -135,5 +135,3 @@ def test_sweep_notes_every_under_resolved_frequency(monkeypatch):
     assert len(sweep.warnings) == len(under) > 0
     for note, lam in zip(sweep.warnings, under):
         assert note.startswith("oscillation grid capped at 200 subintervals") and f"{lam:.3g}" in note
-    with pytest.warns(RuntimeWarning, match="capped at 200"):
-        ts.phase_integral(one, under[0])

@@ -11,30 +11,7 @@ from twospeed.errors import (
 from twospeed.quadrature import trapezoid_weights
 from twospeed.steady_state import DEFAULT_STEPS
 
-from rk4_oracle import rk4_fundamental_matrix, rk4_steady_densities
-
-
-def test_fundamental_matrix_at_zero_is_identity(variant_fields):
-    phi = ts.fundamental_matrix(*variant_fields, 0.0)
-    assert np.array_equal(phi, np.eye(2))
-
-
-def test_goldstein_taylor_fundamental_matrix_closed_form(gt_fields):
-    # The coefficient matrix is the constant nilpotent [[-1,-1],[1,1]],
-    # so Phi(x) = I + x * M in closed form.
-    M = np.array([[-1.0, -1.0], [1.0, 1.0]])
-    for x in (0.25, 0.5, 1.0):
-        phi = ts.fundamental_matrix(*gt_fields, x)
-        assert np.abs(phi - (np.eye(2) + x * M)).max() < 1e-12
-    phi1 = ts.fundamental_matrix(*gt_fields, 1.0)
-    assert np.abs(phi1 - np.array([[0.0, -1.0], [1.0, 2.0]])).max() < 1e-8
-
-
-def test_column_sums_are_conserved(variant_fields, monkeypatch):
-    monkeypatch.setattr("twospeed.steady_state.DEFAULT_STEPS", 512)
-    for x in (0.1, 0.37, 0.83, 1.0):
-        phi = ts.fundamental_matrix(*variant_fields, x)
-        assert np.abs(phi.sum(axis=0) - 1.0).max() < 1e-12
+from rk4_oracle import rk4_steady_densities
 
 
 @pytest.mark.parametrize("fields", ["gt_fields", "variant_fields"])
@@ -42,9 +19,6 @@ def test_column_sums_are_conserved(variant_fields, monkeypatch):
 def test_closed_form_matches_rk4_oracle(fields, sigma, request):
     b1, b2, _ = request.getfixturevalue(fields)
     sg = ts.FieldSpec.constant(sigma)
-    for x in (0.37, 1.0):
-        want = rk4_fundamental_matrix(b1, b2, sg, x, DEFAULT_STEPS)
-        assert np.abs(ts.fundamental_matrix(b1, b2, sg, x) - want).max() <= 1e-12 * np.abs(want).max()
     ss = ts.solve_steady(b1, b2, sg, 64)
     p1, p2 = rk4_steady_densities(b1, b2, sg, 64, DEFAULT_STEPS // 64)
     scale = max(p1.max(), p2.max())
@@ -55,7 +29,7 @@ def test_degenerate_field_raises():
     b1 = ts.FieldSpec.affine(-0.5, 1.0)  # vanishes at x = 0.5
     b2 = ts.FieldSpec.constant(1.0)
     with pytest.raises(DegenerateFieldError):
-        ts.fundamental_matrix(b1, b2, ts.FieldSpec.constant(1.0), 1.0)
+        ts.solve_steady(b1, b2, ts.FieldSpec.constant(1.0), 32)
 
 
 def test_sign_changing_field_raises():
@@ -66,21 +40,17 @@ def test_sign_changing_field_raises():
     for b1, b2, name in ((wave, left, "b1"), (left, wave, "b2")):
         with pytest.raises(DegenerateFieldError, match=f"{name} changes sign"):
             ts.solve_steady(b1, b2, sigma, 32)
-        with pytest.raises(DegenerateFieldError, match=f"{name} changes sign"):
-            ts.fundamental_matrix(b1, b2, sigma, 1.0)
 
 
 @pytest.mark.parametrize("value", [1e-10, -1e-10])
 def test_speed_at_the_floor_is_degenerate(value):
-    # |b| = DEGENERACY_FLOOR exactly is degenerate for the validator, the
-    # steady solver and the fundamental matrix alike.
+    # |b| = DEGENERACY_FLOOR exactly is degenerate for the validator and
+    # the steady solver alike.
     b1, b2, sigma = ts.FieldSpec.constant(value), ts.FieldSpec.constant(-1.0), ts.FieldSpec.constant(1.0)
     assert abs(value) == ts.DEGENERACY_FLOOR
     assert not ts.validate_transport_fields(b1, b2).passed
     with pytest.raises(DegenerateFieldError, match=r"b1 reaches \|b\| = 1.000e-10"):
         ts.solve_steady(b1, b2, sigma, 32)
-    with pytest.raises(DegenerateFieldError, match=r"b1 reaches \|b\| = 1.000e-10"):
-        ts.fundamental_matrix(b1, b2, sigma, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -101,20 +71,16 @@ def test_negative_cross_section_raises(gt_fields, sigma, n):
     b1, b2, _ = gt_fields
     with pytest.raises(InvalidCrossSectionError, match="negative"):
         ts.solve_steady(b1, b2, sigma, n)
-    with pytest.raises(InvalidCrossSectionError, match="negative"):
-        ts.fundamental_matrix(b1, b2, sigma, 1.0)
     with pytest.raises(InvalidCrossSectionError):
         ts.assemble(b1, b2, sigma, ts.Grid(n))
 
 
 def test_stiff_coupling_raises_numerical_error(variant_fields):
     # At sigma = 1e5, A = int sigma (1/b1 + 1/b2) varies by about 1.9e4,
-    # so both Phi(1) and the steady profile span more than the double
-    # range. The GT fields have a = 0 and stay finite at any sigma.
+    # so the steady profile spans more than the double range. The GT
+    # fields have a = 0 and stay finite at any sigma.
     b1, b2, _ = variant_fields
     sigma = ts.FieldSpec.constant(1.0e5)
-    with pytest.raises(NumericalError, match="more than the double range"):
-        ts.fundamental_matrix(b1, b2, sigma, 1.0)
     with pytest.raises(NumericalError, match="more than the double range"):
         ts.solve_steady(b1, b2, sigma, 16)
 

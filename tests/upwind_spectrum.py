@@ -54,4 +54,5 @@ def transport_lambda_max(gen) -> float:
     lies above the norm, where the singular values of ``S0 - i lambda``
     cluster and inverse Lanczos converges slowest.
     """
-    return 4.0 * gen.max_speed() * gen.grid.n * np.pi
+    speed = max(np.abs(gen.face_b1).max(), np.abs(gen.face_b2).max())
+    return 4.0 * speed * gen.grid.n * np.pi
