@@ -37,7 +37,6 @@ from .fields import (
 from .steady_state import SteadyState, solve_steady, steady_residual
 from .space import (
     StateVector,
-    WeightedSpace,
     deflate_to_mean_zero,
     norm,
     total_mass,

@@ -257,12 +257,16 @@ def _parse_initial(node, path: str, base_dir: Path, n: int) -> tuple:
                 raise _fail(path, f"{where}: initial-state CSV needs column {name!r}")
             if not np.isfinite(cols[name]).all():
                 raise _fail(path, f"{where}: initial-state column {name!r} is not finite")
-        p1, p2 = cols["p1"], cols["p2"]
-        if len(p1) == n + 1:
+        x, p1, p2 = cols["x"], cols["p1"], cols["p2"]
+        if len(x) not in (n, n + 1):
+            raise _fail(path, f"{where}: expected {n} cell rows or {n + 1} node rows, got {len(x)}")
+        grid, rows = (Grid(n).centers(), "cell centres") if len(x) == n else (Grid(n).faces(), "nodes")
+        off = np.abs(x - grid).max()
+        if off > 1e-3 / n:
+            raise _fail(path, f"{where}: column 'x' is off the grid's {rows} by up to {off:.3g} (more than h/1000)")
+        if len(x) == n + 1:
             # Node-based profile (steady-state CSV layout): average onto cells.
             p1, p2 = 0.5 * (p1[:-1] + p1[1:]), 0.5 * (p2[:-1] + p2[1:])
-        if len(p1) != n:
-            raise _fail(path, f"{where}: expected {n} cell rows or {n + 1} node rows, got {len(cols['x'])}")
         return (kind, p1, p2)
     raise _fail(f"{path}.type", f"unknown initial-condition type {kind!r}")
 
@@ -327,6 +331,8 @@ def load_config(path, out_override=None) -> RunConfig:
             "evolve.observe_every",
             f"must divide the {steps} steps of T/dt into at least two intervals, got {observe_every}",
         )
+    if snapshot_every % observe_every:
+        raise _fail("evolve.snapshot_every", f"must be a multiple of observe_every {observe_every}, got {snapshot_every}")
 
     sp = _get_map(tree.get("spectral"), "spectral")
     _check_keys(sp, {"lambda_max", "coarse_points", "refine_depth", "t_grid"}, "spectral")

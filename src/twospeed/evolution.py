@@ -120,10 +120,11 @@ def _observer(gen: GeneratorMatrix):
     The returned function takes the stacked state as real columns, its
     real part and, for a complex state, its imaginary part, and returns
     ``(mass, entropy, dissipation, deviation)``.  The deviation is
-    ``norm(space, deflate_to_mean_zero(space, p))`` in ``gen.space()``,
-    whose quadrature weights all equal ``h``, computed without building
-    states.  The weights ``1 / v`` and ``h sigma (v_1 + v_2)`` are
-    computed once here, and each observation reduces by BLAS dots.
+    ``norm(gen, deflate_to_mean_zero(gen, p))`` of
+    :mod:`twospeed.space`, whose quadrature weights all equal ``h``,
+    computed without building states.  The weights ``1 / v`` and
+    ``h sigma (v_1 + v_2)`` are computed once here, and each observation
+    reduces by BLAS dots.
     """
     n, h = gen.grid.n, gen.grid.h
     steady = gen.steady[:, None]
@@ -199,7 +200,9 @@ def evolve(
     """Advance ``p0`` to time ``T`` and record the observers.
 
     Observations are taken at ``t = 0``, after every ``observe_every``
-    steps, and at the final step.  The number of steps is
+    steps, and at the final step; a snapshot of the state is kept at
+    each observation whose step is a multiple of ``snapshot_every``
+    (none when it is 0).  The number of steps is
     ``round(T / dt)`` but at least one, so recorded times are exact
     multiples of ``dt``.  Each step solves ``M d = dt A p`` for the
     update ``d``, with ``M = I - (dt/2) A = L D U'``, in fold order: a
@@ -211,7 +214,8 @@ def evolve(
     ------
     ConfigurationError
         For a non-positive or non-finite ``T`` or ``dt``, a negative
-        ``snapshot_every``, or a scheme other than those in ``SCHEMES``.
+        ``snapshot_every`` or one that is not a multiple of
+        ``observe_every``, or a scheme other than those in ``SCHEMES``.
     DivergenceError
         If the state or one of its observers stops being finite.
     NumericalError
@@ -228,6 +232,10 @@ def evolve(
         raise ConfigurationError("observe_every must be a positive integer")
     if snapshot_every < 0:
         raise ConfigurationError("snapshot_every must be a non-negative integer")
+    if snapshot_every % observe_every:
+        # Snapshots are taken at observations, so any other cadence
+        # would silently fall back to a common multiple of the two.
+        raise ConfigurationError(f"snapshot_every {snapshot_every} is not a multiple of observe_every {observe_every}")
     n = gen.grid.n
     if len(p0.p1) != n:
         raise ShapeError("initial state does not live on the generator's cell grid")

@@ -61,9 +61,10 @@ from .errors import (
     DefectiveGeneratorError,
     NumericalError,
     PositivityError,
+    ShapeError,
 )
 from .fields import FieldSpec, cross_section, evaluate
-from .space import StateVector, WeightedSpace
+from .space import StateVector
 
 #: Relative tolerance of the null space: the kernel is simple when the
 #: bordered ``sigma_min`` is at least ``RANK_TOL * (max |b| + max sigma)``.
@@ -85,13 +86,13 @@ _RITZ_CHECK_EVERY = 4
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell grid on the unit interval."""
+    """Uniform grid of ``n >= 8`` cells on the unit interval; fewer raise ``ShapeError``."""
 
     n: int
 
     def __post_init__(self) -> None:
         if self.n < 8:
-            raise ValueError("grid needs at least 8 cells")
+            raise ShapeError("grid needs at least 8 cells")
 
     @property
     def h(self) -> float:
@@ -146,18 +147,9 @@ class GeneratorMatrix:
     def steady2(self) -> np.ndarray:
         return self.steady[self.grid.n :]
 
-    def space(self) -> WeightedSpace:
-        """Cell-based weighted space induced by the discrete steady state."""
-        return WeightedSpace.from_cells(
-            self.grid.centers(), self.grid.h, self.steady1, self.steady2
-        )
-
     def state(self, p1, p2) -> StateVector:
         """Convenience constructor for a state on this grid's cells."""
         return StateVector(self.grid.centers(), p1, p2)
-
-    def steady_state_vector(self) -> StateVector:
-        return self.state(self.steady1, self.steady2)
 
     def operator_scale(self) -> float:
         """Infinity norm of the operator, used to scale rank tolerances."""

@@ -1,4 +1,4 @@
-"""Quadrature weights shared by the node- and cell-based function spaces."""
+"""Quadrature weights for profiles sampled at uniformly spaced nodes."""
 
 import numpy as np
 
@@ -12,9 +12,3 @@ def trapezoid_weights(npoints: int, spacing: float) -> np.ndarray:
     w[-1] = 0.5 * spacing
     return w
 
-
-def midpoint_weights(ncells: int, spacing: float) -> np.ndarray:
-    """Midpoint weights for ``ncells`` uniform cells (one value per cell)."""
-    if ncells < 1:
-        raise ValueError("midpoint rule needs at least one cell")
-    return np.full(ncells, spacing)

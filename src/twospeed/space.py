@@ -1,31 +1,35 @@
 """The weighted Hilbert-space structure built on a steady state.
 
-States are complex pairs ``(p1, p2)`` sampled on a shared grid.  The
-inner product weights each component by the reciprocal of the steady
-profile,
+States are complex pairs ``(p1, p2)`` sampled on the cells of an
+assembled generator.  The inner product weights each component by the
+reciprocal of the generator's discrete steady state ``gen.steady``,
 
     (p, q) = sum_i  int  p_i * conj(q_i) / p_i,inf  dx,
 
 so that the squared norm of a perturbation is its quadratic relative
-entropy.  The quadrature is a weight vector on the grid; an assembled
-generator supplies uniform (midpoint) weights on its cells.  All
+entropy.  Every integral is the midpoint rule on the generator's uniform
+cells, a dot with the weight ``h`` on each cell; :func:`norm`,
+:func:`total_mass` and :func:`deflate_to_mean_zero` read the cell
+centres, ``h`` and the steady weights from the generator itself.  All
 operations are pure; the discrete identities (idempotence and
 self-adjointness of the mean-zero deflation) hold to rounding because
-every integral uses the same weight vector.
+every integral uses the same weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ShapeError
-from .quadrature import midpoint_weights
+
+if TYPE_CHECKING:
+    from .generator import GeneratorMatrix
 
 __all__ = [
     "StateVector",
-    "WeightedSpace",
     "norm",
     "total_mass",
     "deflate_to_mean_zero",
@@ -55,57 +59,28 @@ class StateVector:
         return np.concatenate([self.p1, self.p2])
 
 
-@dataclass(frozen=True)
-class WeightedSpace:
-    """Grid, quadrature weights and reciprocal-steady-state weights."""
-
-    x: np.ndarray
-    quad: np.ndarray
-    steady1: np.ndarray
-    steady2: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = len(self.x)
-        for name in ("quad", "steady1", "steady2"):
-            if len(getattr(self, name)) != m:
-                raise ShapeError(f"space array {name} does not match the grid")
-        if min(self.steady1.min(), self.steady2.min()) <= 0.0:
-            raise ShapeError("steady weights must be strictly positive")
-
-    @classmethod
-    def from_cells(cls, centers, h, steady1, steady2) -> "WeightedSpace":
-        """Cell-based space with uniform (midpoint) quadrature."""
-        return cls(
-            np.asarray(centers, dtype=float),
-            midpoint_weights(len(centers), h),
-            np.asarray(steady1, dtype=float),
-            np.asarray(steady2, dtype=float),
-        )
-
-    def steady_state_vector(self) -> StateVector:
-        return StateVector(self.x, self.steady1, self.steady2)
+def _check_grid(gen: GeneratorMatrix, p: StateVector) -> None:
+    x = gen.grid.centers()
+    if len(p.x) != len(x) or not np.array_equal(p.x, x):
+        raise ShapeError("state grid does not match the generator's cells")
 
 
-def _check_grid(space: WeightedSpace, p: StateVector) -> None:
-    if len(p.x) != len(space.x) or not np.array_equal(p.x, space.x):
-        raise ShapeError("state grid does not match the space grid")
-
-
-def norm(space: WeightedSpace, p: StateVector) -> float:
+def norm(gen: GeneratorMatrix, p: StateVector) -> float:
     """Weighted norm ``sqrt((p, p))``."""
-    _check_grid(space, p)
-    val = space.quad @ (np.abs(p.p1) ** 2 / space.steady1)
-    val = val + space.quad @ (np.abs(p.p2) ** 2 / space.steady2)
+    _check_grid(gen, p)
+    quad = np.full(gen.grid.n, gen.grid.h)
+    val = quad @ (np.abs(p.p1) ** 2 / gen.steady1)
+    val = val + quad @ (np.abs(p.p2) ** 2 / gen.steady2)
     return float(np.sqrt(val))
 
 
-def total_mass(space: WeightedSpace, p: StateVector) -> complex:
+def total_mass(gen: GeneratorMatrix, p: StateVector) -> complex:
     """Quadrature of ``p1 + p2``; equals ``(p, p_inf)`` in this metric."""
-    _check_grid(space, p)
-    return complex(space.quad @ (p.p1 + p.p2))
+    _check_grid(gen, p)
+    return complex(np.full(gen.grid.n, gen.grid.h) @ (p.p1 + p.p2))
 
 
-def deflate_to_mean_zero(space: WeightedSpace, p: StateVector) -> StateVector:
+def deflate_to_mean_zero(gen: GeneratorMatrix, p: StateVector) -> StateVector:
     """Remove the equilibrium component; the result has zero total mass."""
-    m = total_mass(space, p)
-    return StateVector(space.x, p.p1 - m * space.steady1, p.p2 - m * space.steady2)
+    m = total_mass(gen, p)
+    return StateVector(p.x, p.p1 - m * gen.steady1, p.p2 - m * gen.steady2)

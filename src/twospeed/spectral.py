@@ -119,6 +119,10 @@ from .generator import (
 #: Hard cap on the dense eigen/SVD problem size (matrix side 2n).
 DENSE_CAP = 4096
 
+#: Bound on the backward error of each eigenpair :func:`spectrum` checks,
+#: relative to ``||A||`` (at least 1): ``||S x - mu x||_inf`` for a unit ``x``.
+EIGENPAIR_TOL = 1e-8
+
 #: Defaults: the psi sweep's first grid, the two ends of its range and its floor, and its round cap.
 COARSE_POINTS = 2
 REFINE_DEPTH = 40
@@ -231,8 +235,8 @@ def spectrum(gen: GeneratorMatrix) -> SpectrumReport:
     similarity transform ``S``; no eigenvector matrix is formed.  Sixteen
     of them, spread over the sorted spectrum, and the zero mode are
     verified before the report is returned: each ``mu`` needs a unit
-    vector ``x`` with ``||S x - mu x||_inf <= 1e-8 ||A||``, the backward
-    error of the pair.  The zero mode's ``x`` is the exact null vector
+    vector ``x`` with ``||S x - mu x||_inf <= EIGENPAIR_TOL ||A||``, the
+    backward error of the pair.  The zero mode's ``x`` is the exact null vector
     ``z0`` of :func:`mean_zero_direction`; every other ``x`` is one step
     of inverse iteration from a seeded start with a sparse LU of
     ``S - mu I``.  An exactly singular factor makes
@@ -266,8 +270,8 @@ def spectrum(gen: GeneratorMatrix) -> SpectrumReport:
         x = x / np.linalg.norm(x)
         residuals.append(np.abs(s @ x - vals[i] * x).max())
     resid = float(np.max(residuals))  # a NaN residual propagates and fails the check
-    if not resid <= 1e-8 * max(scale, 1.0):
-        raise NumericalError(f"eigenpair residual {resid:.3e} exceeds 1e-8 * ||A||")
+    if not resid <= EIGENPAIR_TOL * max(scale, 1.0):
+        raise NumericalError(f"eigenpair residual {resid:.3e} exceeds {EIGENPAIR_TOL:g} * ||A||")
 
     others = np.ones(len(vals), dtype=bool)
     others[zero_idx] = False

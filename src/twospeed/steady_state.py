@@ -156,6 +156,8 @@ def solve_steady(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, n: int) -> Stea
 
     Raises
     ------
+    ShapeError
+        If ``n < 8``.
     DegenerateFieldError
         If a velocity field reaches ``|b| <= DEGENERACY_FLOOR`` or
         changes sign anywhere on ``[0, 1]``, where the profile would.
@@ -171,7 +173,7 @@ def solve_steady(b1: FieldSpec, b2: FieldSpec, sigma: FieldSpec, n: int) -> Stea
         If the profile spans more than the double range.
     """
     if n < 8:
-        raise ValueError("steady-state grid needs at least 8 cells")
+        raise ShapeError("steady-state grid needs at least 8 cells")
     substeps = max(1, math.ceil(DEFAULT_STEPS / n))
     h, g, step, half = _lattice(b1, b2, sigma, substeps * n)
     total = float(step.sum())

@@ -106,6 +106,7 @@ def test_unknown_key_is_config_error(tmp_path):
     [
         ("spectral.refine_depth", "refine_depth: 25", "refine_depth: 0"),
         ("evolve.snapshot_every", "observe_every: 5", "observe_every: 5\n  snapshot_every: -5"),
+        ("evolve.snapshot_every", "observe_every: 5", "observe_every: 5\n  snapshot_every: 12"),
         ("evolve.scheme", "observe_every: 5", "observe_every: 5\n  scheme: explicit-rk4"),
         ("evolve.T", "T: 8.0", "T: .inf"),
         ("evolve.dt", "dt: 0.002", "dt: .nan"),
@@ -347,8 +348,10 @@ def test_evolve_writes_snapshots(gt_config, gt_fields, tmp_path):
         + "".join(f"{(i + 0.5) / 64},{'nan' if i == 7 else 0.5},0.5\n" for i in range(64)),
         "x,p1,p2\n" + "".join(f"{(i + 0.5) / 10},0.5,0.5\n" for i in range(10)),  # neither 64 nor 65 rows
         "x,p1,p1\n" + "".join(f"{(i + 0.5) / 64},0.5,0.5\n" for i in range(64)),
+        "x,p1,p2\n" + "".join(f"{(63.5 - i) / 64},0.5,0.5\n" for i in range(64)),  # cell centres reversed
+        "x,p1,p2\n" + "".join(f"{i / 64},0.5,0.5\n" for i in range(64)),  # cell rows on the nodes
     ],
-    ids=["non-numeric", "no-header", "ragged", "nan", "10-rows", "repeated-column"],
+    ids=["non-numeric", "no-header", "ragged", "nan", "10-rows", "repeated-column", "reversed-x", "shifted-x"],
 )
 def test_malformed_initial_csv_is_config_error(tmp_path, capsys, text):
     # The initial state is read with the config, so report stops before

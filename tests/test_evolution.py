@@ -24,7 +24,8 @@ from twospeed.space import deflate_to_mean_zero, norm, total_mass
 
 
 def test_steady_initial_data_is_a_fixed_point(gen_gt_64):
-    series = ts.evolve(gen_gt_64, gen_gt_64.steady_state_vector(), T=1.0, dt=0.01, observe_every=10)
+    steady = gen_gt_64.state(gen_gt_64.steady1, gen_gt_64.steady2)
+    series = ts.evolve(gen_gt_64, steady, T=1.0, dt=0.01, observe_every=10)
     assert np.abs(series.mass - 1.0).max() < 1e-12
     assert series.entropy.max() < 1e-22
     assert series.deviation.max() < 1e-11
@@ -54,6 +55,15 @@ def test_unknown_scheme_raises(gen_gt_64):
 def test_negative_snapshot_every_raises(gen_gt_64):
     with pytest.raises(ConfigurationError):
         ts.evolve(gen_gt_64, ts.steady_plus_mode(gen_gt_64, 1, 0.01), T=0.1, dt=0.01, snapshot_every=-5)
+
+
+@pytest.mark.parametrize("every", [3, 15])
+def test_snapshot_every_must_be_a_multiple_of_observe_every(gen_gt_64, every):
+    # Snapshots are taken at observations, so at observe_every = 10 both
+    # cadences would silently give steps 0, 30, 60 and 90.
+    p0 = ts.steady_plus_mode(gen_gt_64, 1, 0.01)
+    with pytest.raises(ConfigurationError, match="snapshot_every"):
+        ts.evolve(gen_gt_64, p0, T=0.1, dt=1e-3, observe_every=10, snapshot_every=every)
 
 
 @pytest.mark.parametrize(
@@ -174,13 +184,12 @@ def test_observers_match_weighted_space(gen_variant_64, kind):
     gen = gen_variant_64
     p0 = ts.steady_plus_mode(gen, 2, 0.05) if kind == "real" else _complex_mode(gen, 2, 0.05)
     series = ts.evolve(gen, p0, T=0.05, dt=1e-3, observe_every=10, snapshot_every=10)
-    space = gen.space()
     assert len(series.snapshots) == len(series.times)
     for i, (_, state) in enumerate(series.snapshots):
-        dev = norm(space, deflate_to_mean_zero(space, state))
+        dev = norm(gen, deflate_to_mean_zero(gen, state))
         ratio_gap = state.p1 / gen.steady1 - state.p2 / gen.steady2
         diss = gen.grid.h * np.sum(gen.sigma_cells * (gen.steady1 + gen.steady2) * np.abs(ratio_gap) ** 2)
-        assert series.mass[i] == pytest.approx(total_mass(space, state).real, rel=1e-14)
+        assert series.mass[i] == pytest.approx(total_mass(gen, state).real, rel=1e-14)
         assert series.deviation[i] == pytest.approx(dev, rel=1e-14)
         assert series.entropy[i] == pytest.approx(dev * dev, rel=1e-14)
         assert series.dissipation[i] == pytest.approx(diss, rel=1e-14)
@@ -238,18 +247,18 @@ def test_entropy_monotone_for_implicit_scheme(gen_variant_64):
 
 def test_projection_constant_in_time(gen_variant_64):
     # The projection onto the steady state is total_mass * p_inf.
-    space = gen_variant_64.space()
     series = ts.evolve(
         gen_variant_64,
         ts.steady_plus_mode(gen_variant_64, 2, 0.05),
         T=2.0, dt=1e-3, observe_every=200, snapshot_every=200,
     )
-    masses = np.array([total_mass(space, snap) for _, snap in series.snapshots])
-    assert np.abs(masses[1:] - masses[0]).max() * space.steady1.max() < 1e-12
+    masses = np.array([total_mass(gen_variant_64, snap) for _, snap in series.snapshots])
+    assert np.abs(masses[1:] - masses[0]).max() * gen_variant_64.steady1.max() < 1e-12
 
 
 def test_entropy_identity_stationary_series_is_zero(gen_gt_64):
-    series = ts.evolve(gen_gt_64, gen_gt_64.steady_state_vector(), T=0.5, dt=0.01, observe_every=5)
+    steady = gen_gt_64.state(gen_gt_64.steady1, gen_gt_64.steady2)
+    series = ts.evolve(gen_gt_64, steady, T=0.5, dt=0.01, observe_every=5)
     assert ts.entropy_identity_residual(series) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -95,7 +95,7 @@ def test_discrete_steady_converges_to_the_ode_oracle(b1, b2, log_sigma):
 
 
 def test_apply_annihilates_steady(gen_variant_128):
-    out = gen_variant_128.operator @ gen_variant_128.steady_state_vector().stacked
+    out = gen_variant_128.operator @ gen_variant_128.steady
     bound = 1e-8 * gen_variant_128.operator_scale()
     assert np.abs(out).max() <= bound
 
@@ -124,6 +124,13 @@ def test_apply_conserves_mass(gen_variant_128):
 def test_apply_shape_error(gen_gt_64):
     with pytest.raises(ShapeError):
         gen_gt_64.state(np.ones(9), np.ones(9))
+
+
+@pytest.mark.parametrize("n", [0, 7])
+def test_grid_needs_eight_cells(n):
+    with pytest.raises(ShapeError, match="at least 8 cells") as info:
+        ts.Grid(n)
+    assert isinstance(info.value, ts.TwoSpeedError) and isinstance(info.value, ValueError)
 
 
 def test_dissipativity_random_states(gen_gt_64):

@@ -7,6 +7,7 @@ from twospeed.errors import (
     InvalidCrossSectionError,
     NonUniqueSteadyStateError,
     NumericalError,
+    ShapeError,
 )
 from twospeed.quadrature import trapezoid_weights
 from twospeed.steady_state import DEFAULT_STEPS
@@ -23,6 +24,11 @@ def test_closed_form_matches_rk4_oracle(fields, sigma, request):
     p1, p2 = rk4_steady_densities(b1, b2, sg, 64, DEFAULT_STEPS // 64)
     scale = max(p1.max(), p2.max())
     assert max(np.abs(ss.p1 - p1).max(), np.abs(ss.p2 - p2).max()) <= 1e-12 * scale
+
+
+def test_steady_grid_needs_eight_cells(gt_fields):
+    with pytest.raises(ShapeError, match="at least 8 cells"):
+        ts.solve_steady(*gt_fields, 7)
 
 
 def test_degenerate_field_raises():
